@@ -40,11 +40,12 @@ class StaticParamEnsemble(LSHEnsemble):
 
     def query_with_report(self, signature, size=None, threshold=None):
         # Freeze the tuner inputs; everything else is inherited.
-        from repro.core.ensemble import PartitionQueryReport, _as_lean
+        from repro.core.ensemble import PartitionQueryReport
+        from repro.minhash.batch import as_lean
 
         results = set()
         reports = []
-        lean = _as_lean(signature)
+        lean = as_lean(signature)
         q = int(size) if size is not None else max(1, lean.count())
         t_star = self.threshold if threshold is None else float(threshold)
         for partition, forest in zip(self._partitions, self._forests):

@@ -17,20 +17,11 @@ from repro.asym.padding import pad_signature
 from repro.core.tuning import tune_params_quantized
 from repro.forest.prefix_forest import PrefixForest, default_forest_shape
 from repro.lsh.storage import DictHashTableStorage
+from repro.minhash.batch import as_lean
 from repro.minhash.lean import LeanMinHash
 from repro.minhash.minhash import MinHash
 
 __all__ = ["AsymmetricMinHashLSH"]
-
-
-def _as_lean(signature: MinHash | LeanMinHash) -> LeanMinHash:
-    if isinstance(signature, LeanMinHash):
-        return signature
-    if isinstance(signature, MinHash):
-        return LeanMinHash(signature)
-    raise TypeError(
-        "expected MinHash or LeanMinHash, got %r" % type(signature).__name__
-    )
 
 
 class AsymmetricMinHashLSH:
@@ -72,7 +63,7 @@ class AsymmetricMinHashLSH:
         """
         if self._forest is not None:
             raise RuntimeError("index() may only be called on an empty index")
-        staged = [(key, _as_lean(sig), int(size)) for key, sig, size in
+        staged = [(key, as_lean(sig), int(size)) for key, sig, size in
                   entries]
         if not staged:
             raise ValueError("cannot index an empty collection of domains")
@@ -101,7 +92,7 @@ class AsymmetricMinHashLSH:
         """
         if self._forest is None:
             raise RuntimeError("the index is empty; call index() first")
-        lean = _as_lean(signature)
+        lean = as_lean(signature)
         t_star = self.threshold if threshold is None else float(threshold)
         if not 0.0 <= t_star <= 1.0:
             raise ValueError("threshold must be in [0, 1]")

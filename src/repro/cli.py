@@ -613,7 +613,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print("serving %s (%d domains, generation %d, mutation epoch %d, "
               "%s executor) on http://%s:%d"
               % (args.index, len(index), server.engine.generation,
-                 server.engine.mutation_epoch, server.engine.executor_kind,
+                 server.engine.mutation_epoch, server.engine.executor.kind,
                  server.host, server.port),
               flush=True)
         print("endpoints: POST /query, POST /query_top_k, GET /healthz, "

@@ -65,6 +65,7 @@ from repro.core.partitioner import (
     equi_depth_partitions,
     partition_depth_cv,
 )
+from repro.core.querycore import QuerySurface, normalise_queries
 from repro.core.tuning import (
     TuningResult,
     ratio_buckets,
@@ -73,72 +74,12 @@ from repro.core.tuning import (
 from repro.forest.prefix_forest import PrefixForest, default_forest_shape
 from repro.kernels import get_kernel, validate_bbit
 from repro.lsh.storage import DictHashTableStorage
-from repro.minhash.batch import SignatureBatch
+from repro.minhash.batch import as_lean
 from repro.minhash.lean import LeanMinHash
 from repro.minhash.minhash import MinHash
 from repro.stats.skewness import skewness_from_sums
 
 __all__ = ["LSHEnsemble", "PartitionQueryReport"]
-
-# The top-k search's descending threshold ladder: probe at START, step
-# down by STEP until k candidates accumulate (or min_threshold).
-# Shared with the sharded fan-out (repro.parallel.sharded), whose
-# bit-exact parity with the flat index depends on walking the very same
-# rungs.
-TOPK_LADDER_START = 0.95
-TOPK_LADDER_STEP = 0.15
-
-
-def _validate_topk_args(k: int, min_threshold: float) -> None:
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if not 0.0 < min_threshold <= 1.0:
-        raise ValueError("min_threshold must be in (0, 1]")
-
-
-def _ladder_candidates(query_at, k: int, min_threshold: float) -> set:
-    """Candidates accumulated down the shared top-k threshold ladder.
-
-    ``query_at(threshold) -> set``.  Rungs descend from
-    ``TOPK_LADDER_START`` by ``TOPK_LADDER_STEP`` until ``k``
-    candidates accumulate or the ``min_threshold`` floor rung has been
-    probed.  The flat and sharded searches both walk this exact ladder
-    — their bit-exact parity (pinned by tests) is structural, not a
-    matter of keeping two copies in sync.
-    """
-    candidates: set = set()
-    threshold = TOPK_LADDER_START
-    while True:
-        candidates |= query_at(threshold)
-        if len(candidates) >= k or threshold <= min_threshold:
-            break
-        threshold = max(min_threshold, threshold - TOPK_LADDER_STEP)
-    return candidates
-
-
-def _ladder_candidates_batch(query_rows_at, n: int, k: int,
-                             min_threshold: float) -> list[set]:
-    """Per-row ladder candidates; each rung answers only the rows that
-    still need candidates.
-
-    ``query_rows_at(rows, threshold) -> list[set]`` aligned with
-    ``rows``.  Row ``j`` stops descending once it holds ``k``
-    candidates (the same stop rule as :func:`_ladder_candidates`), so
-    the expensive early rungs are shared by the whole batch.
-    """
-    candidates: list[set] = [set() for _ in range(n)]
-    active = list(range(n))
-    threshold = TOPK_LADDER_START
-    while active:
-        found = query_rows_at(active, threshold)
-        still_active = []
-        for j, hits in zip(active, found):
-            candidates[j] |= hits
-            if len(candidates[j]) < k and threshold > min_threshold:
-                still_active.append(j)
-        active = still_active
-        threshold = max(min_threshold, threshold - TOPK_LADDER_STEP)
-    return candidates
 
 
 class PartitionQueryReport:
@@ -179,25 +120,7 @@ class PartitionQueryReport:
                    suffix))
 
 
-def _as_lean(signature: MinHash | LeanMinHash) -> LeanMinHash:
-    if isinstance(signature, LeanMinHash):
-        return signature
-    if isinstance(signature, MinHash):
-        return LeanMinHash(signature)
-    raise TypeError(
-        "expected MinHash or LeanMinHash, got %r" % type(signature).__name__
-    )
-
-
-def _as_batch(batch) -> SignatureBatch:
-    if isinstance(batch, SignatureBatch):
-        return batch
-    if isinstance(batch, np.ndarray):
-        return SignatureBatch(None, batch)
-    return SignatureBatch.from_signatures(list(batch))
-
-
-class LSHEnsemble:
+class LSHEnsemble(QuerySurface):
     """Containment-search index over domains with skewed cardinalities.
 
     Parameters
@@ -564,7 +487,7 @@ class LSHEnsemble:
             raise RuntimeError("call index() before insert()")
         if size < 1:
             raise ValueError("domain size must be >= 1")
-        lean = _as_lean(signature)
+        lean = as_lean(signature)
         if lean.num_perm != self.num_perm:
             raise ValueError(
                 "signature num_perm %d does not match index num_perm %d"
@@ -611,7 +534,7 @@ class LSHEnsemble:
         if key in self._sizes:
             raise ValueError("key %r is already in the index" % (key,))
         i = self._route_index(size)
-        self._forests[i].insert(key, _as_lean(signature))
+        self._forests[i].insert(key, as_lean(signature))
         self._sizes[key] = size
         if size > self._partition_max_size[i]:
             self._partition_max_size[i] = size
@@ -981,7 +904,7 @@ class LSHEnsemble:
                                              list[PartitionQueryReport]]:
         if not self._forests:
             raise RuntimeError("the index is empty; call index() first")
-        lean = _as_lean(signature)
+        lean = as_lean(signature)
         t_star = self.threshold if threshold is None else float(threshold)
         if not 0.0 <= t_star <= 1.0:
             raise ValueError("threshold must be in [0, 1]")
@@ -1057,7 +980,7 @@ class LSHEnsemble:
                             threshold: float | None = None) -> list[set]:
         if not self._forests:
             raise RuntimeError("the index is empty; call index() first")
-        sb = _as_batch(batch)
+        sb, qs = normalise_queries(batch, sizes)
         n = len(sb)
         t_star = self.threshold if threshold is None else float(threshold)
         if not 0.0 <= t_star <= 1.0:
@@ -1069,16 +992,12 @@ class LSHEnsemble:
                 "batch num_perm %d does not match index num_perm %d"
                 % (sb.num_perm, self.num_perm)
             )
-        if sizes is not None:
-            qs = [int(s) for s in sizes]
-            if len(qs) != n:
-                raise ValueError(
-                    "got %d sizes for %d signatures" % (len(qs), n)
-                )
-            if any(q < 1 for q in qs):
-                raise ValueError("query size must be >= 1")
-        else:
-            qs = [max(1, int(c)) for c in sb.counts()]
+        if n == 1:
+            # A one-row batch takes the scalar probe: 16 partitions of
+            # small-array numpy overhead cost ~2.4x the scalar walk
+            # (0.74 vs 0.30 ms at 10k domains), and every derived
+            # single-query entry point lands here.
+            return [self._query_with_report_locked(sb[0], qs[0], t_star)[0]]
         qs_arr = np.asarray(qs, dtype=np.float64)
         self._resolve_live_max_locked()
         results: list[set] = [set() for _ in range(n)]
@@ -1133,83 +1052,14 @@ class LSHEnsemble:
                 found |= extra
         return results
 
-    def query_top_k(self, signature: MinHash | LeanMinHash, k: int,
-                    size: int | None = None, min_threshold: float = 0.05,
-                    ) -> list[tuple[Hashable, float]]:
-        """The ``k`` domains with the highest *estimated* containment.
-
-        The paper (Section 2) notes the top-k formulation is
-        complementary to threshold search; this extension implements it
-        on top of the threshold machinery: walk a descending threshold
-        ladder until at least ``k`` candidates accumulate (or
-        ``min_threshold`` is reached), then rank candidates by
-        signature-estimated containment (Eq. 6 inverted).
-
-        Returns ``(key, estimated_containment)`` pairs, best first.  The
-        estimates are approximate — a verification pass over raw values
-        is still advisable before acting on fine-grained ordering.
-        """
-        from repro.core.estimation import rank_candidates
-
-        _validate_topk_args(k, min_threshold)
-        lean = _as_lean(signature)
-        q = int(size) if size is not None else max(1, lean.count())
+    def signatures_for(self, keys: Iterable[Hashable]) -> tuple[dict, dict]:
+        """``(signatures, sizes)`` of the live keys among ``keys`` —
+        the candidate pool top-k ranking reads; absent keys are
+        silently missing."""
         with self._lock:
-            candidates = _ladder_candidates(
-                lambda threshold: self.query(lean, size=q,
-                                             threshold=threshold),
-                k, min_threshold)
-            pool = {key: self._signature_of(key) for key in candidates}
-            ranked = rank_candidates(lean, pool, query_size=q,
-                                     sizes={key: self.size_of(key)
-                                            for key in candidates})
-        return ranked[:k]
-
-    def query_top_k_batch(self, batch, k: int,
-                          sizes: Sequence[int] | None = None,
-                          min_threshold: float = 0.05,
-                          ) -> list[list[tuple[Hashable, float]]]:
-        """:meth:`query_top_k` for many signatures in one pass.
-
-        Walks the same descending threshold ladder as the single-query
-        variant, but each rung is answered with :meth:`query_batch` over
-        only the signatures that still need candidates — so the expensive
-        early (high-threshold) rungs are shared by the whole batch.
-        Returns one ranked ``(key, estimated_containment)`` list per row,
-        equal to ``[self.query_top_k(s, k, size) for s, size in batch]``.
-        """
-        from repro.core.estimation import rank_candidates
-
-        _validate_topk_args(k, min_threshold)
-        if not self._forests:
-            raise RuntimeError("the index is empty; call index() first")
-        sb = _as_batch(batch)
-        n = len(sb)
-        if n == 0:
-            return []
-        if sizes is not None:
-            if len(sizes) != n:
-                raise ValueError(
-                    "got %d sizes for %d signatures" % (len(sizes), n)
-                )
-            qs = [int(s) for s in sizes]
-        else:
-            qs = [max(1, int(c)) for c in sb.counts()]
-        with self._lock:
-            candidates = _ladder_candidates_batch(
-                lambda rows, threshold: self.query_batch(
-                    SignatureBatch(None, sb.take(rows), seed=sb.seed),
-                    sizes=[qs[j] for j in rows], threshold=threshold),
-                n, k, min_threshold)
-            out: list[list[tuple[Hashable, float]]] = []
-            for j in range(n):
-                pool = {key: self._signature_of(key)
-                        for key in candidates[j]}
-                ranked = rank_candidates(sb[j], pool, query_size=qs[j],
-                                         sizes={key: self.size_of(key)
-                                                for key in candidates[j]})
-                out.append(ranked[:k])
-        return out
+            held = [key for key in keys if key in self]
+            return ({key: self._signature_of(key) for key in held},
+                    {key: self.size_of(key) for key in held})
 
     def _signature_of(self, key: Hashable) -> LeanMinHash:
         """Signature of a *live* key (either tier); no tombstone check."""

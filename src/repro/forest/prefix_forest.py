@@ -25,7 +25,8 @@ import numpy as np
 from repro.kernels import (ProbeIndex, band_dtype, get_kernel, pack_block,
                            pack_row, validate_bbit)
 from repro.lsh.storage import DictHashTableStorage
-from repro.minhash.batch import as_signature_matrix, prepare_bulk_insert
+from repro.minhash.batch import (as_lean, as_signature_matrix,
+                                 prepare_bulk_insert)
 from repro.minhash.lean import LeanMinHash
 from repro.minhash.minhash import MinHash
 
@@ -49,16 +50,6 @@ def default_forest_shape(num_perm: int) -> tuple[int, int]:
         if num_perm % depth == 0:
             return num_perm // depth, depth
     return num_perm, 1
-
-
-def _as_lean(signature: MinHash | LeanMinHash) -> LeanMinHash:
-    if isinstance(signature, LeanMinHash):
-        return signature
-    if isinstance(signature, MinHash):
-        return LeanMinHash(signature)
-    raise TypeError(
-        "expected MinHash or LeanMinHash, got %r" % type(signature).__name__
-    )
 
 
 class PrefixForest:
@@ -149,7 +140,7 @@ class PrefixForest:
 
     def insert(self, key: Hashable, signature: MinHash | LeanMinHash) -> None:
         """Index ``signature`` under ``key`` in every tree at every depth."""
-        lean = _as_lean(signature)
+        lean = as_lean(signature)
         if lean.num_perm != self.num_perm:
             raise ValueError(
                 "signature num_perm %d does not match forest num_perm %d"
@@ -274,7 +265,7 @@ class PrefixForest:
         agree with the query on the first ``r`` hash values of that tree's
         band is unioned into the result.
         """
-        lean = _as_lean(signature)
+        lean = as_lean(signature)
         if lean.num_perm != self.num_perm:
             raise ValueError(
                 "signature num_perm %d does not match forest num_perm %d"

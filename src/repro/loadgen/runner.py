@@ -360,7 +360,7 @@ def _drain(server, timeout: float = 10.0) -> None:
     """Wait until no request is in flight and the coalescer is empty."""
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
-        if server.inflight == 0 and server.coalescer._pending == 0:
+        if server.inflight == 0 and server.coalescer.pending == 0:
             return
         time.sleep(0.01)
 
@@ -402,4 +402,4 @@ def run_against_index(index, profile: TrafficProfile, *,
             index, profile, port=handle.port, server=handle.server,
             concurrency=concurrency,
             mutation_prefix="loadgen-%s-%s" % (profile.name, executor),
-            executor_label=handle.server.engine.executor_kind)
+            executor_label=handle.server.engine.executor.kind)

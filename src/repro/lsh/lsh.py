@@ -19,21 +19,12 @@ from repro.kernels import band_dtype, get_kernel, pack_block, pack_row, \
     validate_bbit
 from repro.lsh.params import optimal_params
 from repro.lsh.storage import BandedStorage, DictHashTableStorage
-from repro.minhash.batch import as_signature_matrix, prepare_bulk_insert
+from repro.minhash.batch import (as_lean, as_signature_matrix,
+                                 prepare_bulk_insert)
 from repro.minhash.lean import LeanMinHash
 from repro.minhash.minhash import MinHash
 
 __all__ = ["MinHashLSH"]
-
-
-def _as_lean(signature: MinHash | LeanMinHash) -> LeanMinHash:
-    if isinstance(signature, LeanMinHash):
-        return signature
-    if isinstance(signature, MinHash):
-        return LeanMinHash(signature)
-    raise TypeError(
-        "expected MinHash or LeanMinHash, got %r" % type(signature).__name__
-    )
 
 
 class MinHashLSH:
@@ -102,7 +93,7 @@ class MinHashLSH:
         Keys are unique; re-inserting an existing key raises ``ValueError``
         (remove first), matching the append-only build the paper assumes.
         """
-        lean = _as_lean(signature)
+        lean = as_lean(signature)
         if lean.num_perm != self.num_perm:
             raise ValueError(
                 "signature num_perm %d does not match index num_perm %d"
@@ -157,7 +148,7 @@ class MinHashLSH:
 
     def query(self, signature: MinHash | LeanMinHash) -> set:
         """Keys whose signatures collide with the query in >= 1 band."""
-        lean = _as_lean(signature)
+        lean = as_lean(signature)
         if lean.num_perm != self.num_perm:
             raise ValueError(
                 "signature num_perm %d does not match index num_perm %d"

@@ -29,7 +29,28 @@ from repro.minhash.lean import LeanMinHash, _deeply_readonly
 from repro.minhash.minhash import HASH_RANGE, MinHash
 
 __all__ = ["SignatureBatch", "pack_band_keys", "as_signature_matrix",
-           "prepare_bulk_insert"]
+           "as_lean", "as_batch", "prepare_bulk_insert"]
+
+
+def as_lean(signature: MinHash | LeanMinHash) -> LeanMinHash:
+    """Coerce a signature argument to a frozen :class:`LeanMinHash`."""
+    if isinstance(signature, LeanMinHash):
+        return signature
+    if isinstance(signature, MinHash):
+        return LeanMinHash(signature)
+    raise TypeError(
+        "expected MinHash or LeanMinHash, got %r" % type(signature).__name__
+    )
+
+
+def as_batch(batch) -> "SignatureBatch":
+    """Coerce a batch argument (a :class:`SignatureBatch`, a 2-D
+    matrix, or a sequence of signatures) to a :class:`SignatureBatch`."""
+    if isinstance(batch, SignatureBatch):
+        return batch
+    if isinstance(batch, np.ndarray):
+        return SignatureBatch(None, batch)
+    return SignatureBatch.from_signatures(list(batch))
 
 
 def prepare_bulk_insert(keys, batch, seeds, num_perm: int, existing,

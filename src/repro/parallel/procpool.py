@@ -23,9 +23,9 @@ repo.  This module supplies the worker side of the bargain:
 * :class:`PooledIndex` — the parent-side adapter around one built
   :class:`~repro.core.ensemble.LSHEnsemble`.  It spills the immutable
   base tier to a segment file once (reusing an existing snapshot when
-  the index was loaded from one), then answers ``query`` /
-  ``query_batch`` / ``query_top_k`` / ``query_top_k_batch`` by slicing
-  batch rows across the pool.
+  the index was loaded from one), then answers ``query_batch`` /
+  ``query_top_k_batch`` by slicing batch rows across the pool (the
+  single-query forms are one-row batches).
 
 **Mutation-while-serving stays safe** through two version checks,
 captured atomically under the index lock at dispatch time:
@@ -64,6 +64,8 @@ from multiprocessing import connection as mp_connection
 from pathlib import Path
 
 import numpy as np
+
+from repro.core.querycore import QuerySurface, normalise_queries
 
 __all__ = ["ProcPool", "PooledIndex", "RemoteTaskError",
            "WorkerCrashError", "default_start_method"]
@@ -204,7 +206,6 @@ def _source_index(sources: OrderedDict, source: dict, overlay: dict):
 
 def _execute_task(sources: OrderedDict, task: dict):
     from repro.minhash.batch import SignatureBatch
-    from repro.minhash.lean import LeanMinHash
 
     method = task["method"]
     args = task["args"]
@@ -216,25 +217,16 @@ def _execute_task(sources: OrderedDict, task: dict):
             time.sleep(delay)
         return args.get("value")
     index = _source_index(sources, task["source"], task["overlay"])
-    if method in ("query", "query_top_k"):
-        lean = LeanMinHash(seed=int(args["seed"]),
-                           hashvalues=np.asarray(args["row"],
-                                                 dtype=np.uint64))
-        if method == "query":
-            return index.query(lean, args["size"], args["threshold"])
-        return index.query_top_k(lean, args["k"], size=args["size"],
-                                 min_threshold=args["min_threshold"])
-    if method in ("query_batch", "query_top_k_batch"):
-        batch = SignatureBatch(None,
-                               np.asarray(args["matrix"], dtype=np.uint64),
-                               seed=int(args["seed"]))
-        if method == "query_batch":
-            return index.query_batch(batch, sizes=args["sizes"],
-                                     threshold=args["threshold"])
-        return index.query_top_k_batch(batch, args["k"],
-                                       sizes=args["sizes"],
-                                       min_threshold=args["min_threshold"])
-    raise ValueError("unknown task method %r" % (method,))
+    if method not in ("query_batch", "query_top_k_batch"):
+        raise ValueError("unknown task method %r" % (method,))
+    batch = SignatureBatch(None,
+                           np.asarray(args["matrix"], dtype=np.uint64),
+                           seed=int(args["seed"]))
+    if method == "query_batch":
+        return index.query_batch(batch, sizes=args["sizes"],
+                                 threshold=args["threshold"])
+    return index.query_top_k_batch(batch, args["k"], sizes=args["sizes"],
+                                   min_threshold=args["min_threshold"])
 
 
 def _worker_main(conn) -> None:
@@ -555,7 +547,7 @@ class ProcPool:
 _source_ids = itertools.count()
 
 
-class PooledIndex:
+class PooledIndex(QuerySurface):
     """Serve one built :class:`~repro.core.ensemble.LSHEnsemble`
     through a :class:`ProcPool`, slicing batches across workers.
 
@@ -713,71 +705,33 @@ class PooledIndex:
 
     # ------------------------- query API ---------------------------- #
 
-    def query(self, signature, size: int | None = None,
-              threshold: float | None = None) -> set:
-        from repro.core.ensemble import _as_lean
-
-        lean = _as_lean(signature)
-        task = self.task_for("query", {
-            "row": np.ascontiguousarray(lean.hashvalues, dtype=np.uint64),
-            "seed": int(lean.seed), "size": size, "threshold": threshold})
-        return self.pool.run([task])[0]
-
-    def query_top_k(self, signature, k: int, size: int | None = None,
-                    min_threshold: float = 0.05) -> list:
-        from repro.core.ensemble import _as_lean
-
-        lean = _as_lean(signature)
-        task = self.task_for("query_top_k", {
-            "row": np.ascontiguousarray(lean.hashvalues, dtype=np.uint64),
-            "seed": int(lean.seed), "size": size, "k": int(k),
-            "min_threshold": float(min_threshold)})
-        return self.pool.run([task])[0]
-
-    def query_batch(self, batch, sizes: Sequence[int] | None = None,
-                    threshold: float | None = None) -> list[set]:
-        sb, sizes = self._normalise_batch(batch, sizes)
-        n = len(sb)
-        if n == 0:
+    def _sliced(self, method: str, batch, sizes, params: dict) -> list:
+        """Row-slice one batch call into ``method`` pool tasks (one
+        IPC round trip per slice) and concatenate the answers."""
+        sb, sizes = normalise_queries(batch, sizes)
+        if len(sb) == 0:
             return []
         per_task = [{
             "matrix": np.ascontiguousarray(sb.matrix[lo:hi],
                                            dtype=np.uint64),
-            "seed": int(sb.seed),
-            "sizes": None if sizes is None else sizes[lo:hi],
-            "threshold": threshold,
-        } for lo, hi in self._row_slices(n)]
-        parts = self.pool.run(self._tasks("query_batch", per_task))
+            "seed": int(sb.seed), "sizes": sizes[lo:hi], **params,
+        } for lo, hi in self._row_slices(len(sb))]
+        parts = self.pool.run(self._tasks(method, per_task))
         return [row for part in parts for row in part]
+
+    def query_batch(self, batch, sizes: Sequence[int] | None = None,
+                    threshold: float | None = None) -> list[set]:
+        return self._sliced("query_batch", batch, sizes,
+                            {"threshold": threshold})
 
     def query_top_k_batch(self, batch, k: int,
                           sizes: Sequence[int] | None = None,
                           min_threshold: float = 0.05) -> list[list]:
-        sb, sizes = self._normalise_batch(batch, sizes)
-        n = len(sb)
-        if n == 0:
-            return []
-        per_task = [{
-            "matrix": np.ascontiguousarray(sb.matrix[lo:hi],
-                                           dtype=np.uint64),
-            "seed": int(sb.seed),
-            "sizes": None if sizes is None else sizes[lo:hi],
-            "k": int(k), "min_threshold": float(min_threshold),
-        } for lo, hi in self._row_slices(n)]
-        parts = self.pool.run(self._tasks("query_top_k_batch", per_task))
-        return [row for part in parts for row in part]
-
-    def _normalise_batch(self, batch, sizes):
-        from repro.core.ensemble import _as_batch
-
-        sb = _as_batch(batch)
-        if sizes is not None:
-            sizes = [int(s) for s in sizes]
-            if len(sizes) != len(sb):
-                raise ValueError(
-                    "got %d sizes for %d signatures"
-                    % (len(sizes), len(sb)))
-        return sb, sizes
+        # The whole ladder runs inside the worker, atomically under its
+        # index lock: one round trip per slice instead of one per rung.
+        return self._sliced("query_top_k_batch", batch, sizes,
+                            {"k": int(k),
+                             "min_threshold": float(min_threshold)})
 
     # ----------------------- passthroughs --------------------------- #
 

@@ -27,15 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.ensemble import (
-    LSHEnsemble,
-    _as_batch,
-    _as_lean,
-    _ladder_candidates,
-    _ladder_candidates_batch,
-    _validate_topk_args,
-)
-from repro.minhash.batch import SignatureBatch
+from repro.core.ensemble import LSHEnsemble
+from repro.core.querycore import QuerySurface, normalise_queries
 from repro.minhash.lean import LeanMinHash
 from repro.minhash.minhash import MinHash
 from repro.parallel.procpool import PooledIndex, ProcPool
@@ -43,7 +36,7 @@ from repro.parallel.procpool import PooledIndex, ProcPool
 __all__ = ["ShardedEnsemble"]
 
 
-class ShardedEnsemble:
+class ShardedEnsemble(QuerySurface):
     """Round-robin sharded LSH Ensemble with parallel query fan-out.
 
     Parameters
@@ -304,66 +297,30 @@ class ShardedEnsemble:
             return 0
         return max(shard.generation for shard in self._shards)
 
-    def query(self, signature: MinHash | LeanMinHash,
-              size: int | None = None,
-              threshold: float | None = None) -> set:
-        """Union of all shard answers (Partitioned-Containment-Search)."""
-        with self._lock:
-            if not self._shards:
-                raise RuntimeError("the index is empty; call index() first")
-            if self.executor == "process" and self._clients:
-                lean = _as_lean(signature)
-                row = np.ascontiguousarray(lean.hashvalues,
-                                           dtype=np.uint64)
-                args = {"row": row, "seed": int(lean.seed), "size": size,
-                        "threshold": threshold}
-                out: set = set()
-                for found in self._process_fanout("query", lambda i: args):
-                    out |= found
-                return out
-            if self.parallel and self._executor is not None:
-                futures = [
-                    self._executor.submit(shard.query, signature, size,
-                                          threshold)
-                    for shard in self._shards
-                ]
-                out = set()
-                for f in futures:
-                    out |= f.result()
-                return out
-            out = set()
-            for shard in self._shards:
-                out |= shard.query(signature, size, threshold)
-            return out
-
     def query_batch(self, batch, sizes: Sequence[int] | None = None,
                     threshold: float | None = None) -> list[set]:
-        """:meth:`query` for many signatures: whole batch to every shard.
+        """Union of all shard answers, row by row
+        (Partitioned-Containment-Search over the cluster).
 
-        Each shard answers the full batch through its vectorised
-        :meth:`~repro.core.ensemble.LSHEnsemble.query_batch`; with
-        ``parallel=True`` one thread-pool task per shard amortises the
-        fan-out overhead over all ``n`` queries instead of paying it per
-        query.  Per-row results are the union over shards, aligned with
-        the batch rows.
+        The whole batch goes to every shard's vectorised
+        :meth:`~repro.core.ensemble.LSHEnsemble.query_batch` — one
+        process-pool task, thread-pool task or sequential call per
+        shard, so the fan-out overhead is paid once per batch, not per
+        query.  Batch and sizes are normalised once here rather than
+        once per shard.
         """
         if not self._shards:
             raise RuntimeError("the index is empty; call index() first")
-        # Normalise once here rather than once per shard; accepts the
-        # same forms as LSHEnsemble.query_batch.
-        batch = _as_batch(batch)
+        batch, sizes = normalise_queries(batch, sizes)
         if len(batch) == 0:
             return []
         with self._lock:
             if not self._shards:
                 raise RuntimeError("the index is empty; call index() first")
-            if sizes is None:
-                # Estimate cardinalities once for all shards.
-                sizes = [max(1, int(c)) for c in batch.counts()]
             if self.executor == "process" and self._clients:
                 args = {"matrix": np.ascontiguousarray(batch.matrix,
                                                        dtype=np.uint64),
-                        "seed": int(batch.seed), "sizes": list(sizes),
+                        "seed": int(batch.seed), "sizes": sizes,
                         "threshold": threshold}
                 per_shard = self._process_fanout("query_batch",
                                                  lambda i: args)
@@ -383,97 +340,19 @@ class ShardedEnsemble:
                 results[j] |= hits
         return results
 
-    def _shard_holding(self, key: Hashable) -> LSHEnsemble:
-        for shard in self._shards:
-            if key in shard:
-                return shard
-        raise KeyError(key)
-
-    def _candidate_pool(self, candidates) -> tuple[dict, dict]:
-        """(signatures, sizes) of candidate keys from their owning
-        shards, for one shared rank_candidates call."""
+    def signatures_for(self, keys) -> tuple[dict, dict]:
+        """``(signatures, sizes)`` of ``keys``, pooled from their
+        owning shards (the parent's authoritative copies, whatever the
+        fan-out backend)."""
+        keys = list(keys)
         pool: dict = {}
-        candidate_sizes: dict = {}
-        for key in candidates:
-            shard = self._shard_holding(key)
-            pool[key] = shard.get_signature(key)
-            candidate_sizes[key] = shard.size_of(key)
-        return pool, candidate_sizes
-
-    def query_top_k(self, signature: MinHash | LeanMinHash, k: int,
-                    size: int | None = None, min_threshold: float = 0.05,
-                    ) -> list[tuple[Hashable, float]]:
-        """The ``k`` cluster-wide best domains by estimated containment.
-
-        Walks the same descending threshold ladder as
-        :meth:`repro.core.ensemble.LSHEnsemble.query_top_k`, but each
-        rung is one parallel :meth:`query` fan-out, so candidate
-        recovery and the stop rule see the *union* over shards at every
-        rung — a global ladder, not per-shard ladders merged after the
-        fact (per-shard ladders would descend further on sparse shards
-        and surface candidates a flat index never ranks).  The final
-        ranking pools candidate signatures from their owning shards
-        through one shared :func:`~repro.core.estimation.rank_candidates`
-        call, preserving the flat index's ordering and tie-breaks.
-        """
-        from repro.core.estimation import rank_candidates
-
-        _validate_topk_args(k, min_threshold)
-        if not self._shards:
-            raise RuntimeError("the index is empty; call index() first")
-        lean = _as_lean(signature)
-        q = int(size) if size is not None else max(1, lean.count())
+        sizes: dict = {}
         with self._lock:
-            candidates = _ladder_candidates(
-                lambda threshold: self.query(lean, size=q,
-                                             threshold=threshold),
-                k, min_threshold)
-            pool, candidate_sizes = self._candidate_pool(candidates)
-            ranked = rank_candidates(lean, pool, query_size=q,
-                                     sizes=candidate_sizes)
-        return ranked[:k]
-
-    def query_top_k_batch(self, batch, k: int,
-                          sizes: Sequence[int] | None = None,
-                          min_threshold: float = 0.05,
-                          ) -> list[list[tuple[Hashable, float]]]:
-        """:meth:`query_top_k` for many signatures in one pass.
-
-        Each ladder rung answers only the still-unsatisfied rows through
-        :meth:`query_batch` (whole-batch shard fan-out), mirroring
-        :meth:`repro.core.ensemble.LSHEnsemble.query_top_k_batch` row
-        for row.
-        """
-        from repro.core.estimation import rank_candidates
-
-        _validate_topk_args(k, min_threshold)
-        if not self._shards:
-            raise RuntimeError("the index is empty; call index() first")
-        sb = _as_batch(batch)
-        n = len(sb)
-        if n == 0:
-            return []
-        if sizes is not None:
-            if len(sizes) != n:
-                raise ValueError(
-                    "got %d sizes for %d signatures" % (len(sizes), n)
-                )
-            qs = [int(s) for s in sizes]
-        else:
-            qs = [max(1, int(c)) for c in sb.counts()]
-        with self._lock:
-            candidates = _ladder_candidates_batch(
-                lambda rows, threshold: self.query_batch(
-                    SignatureBatch(None, sb.take(rows), seed=sb.seed),
-                    sizes=[qs[j] for j in rows], threshold=threshold),
-                n, k, min_threshold)
-            out: list[list[tuple[Hashable, float]]] = []
-            for j in range(n):
-                pool, candidate_sizes = self._candidate_pool(candidates[j])
-                ranked = rank_candidates(sb[j], pool, query_size=qs[j],
-                                         sizes=candidate_sizes)
-                out.append(ranked[:k])
-        return out
+            for shard in self._shards:
+                shard_pool, shard_sizes = shard.signatures_for(keys)
+                pool.update(shard_pool)
+                sizes.update(shard_sizes)
+        return pool, sizes
 
     @property
     def shards(self) -> list[LSHEnsemble]:

@@ -89,6 +89,11 @@ class MicroBatchCoalescer:
         self.batch_seconds_total = 0.0  # dispatch wall time, completed
         self._batch_size_hist: dict[int, int] = {}
 
+    @property
+    def pending(self) -> int:
+        """Queries admitted but not yet answered (queued + in flight)."""
+        return self._pending
+
     async def submit(self, group_key, payload):
         """Queue one query; resolves to its result once its batch ran."""
         if self._closed:
@@ -181,7 +186,7 @@ class MicroBatchCoalescer:
             "max_batch": self.max_batch,
             "window_seconds": self.window_seconds,
             "max_pending": self.max_pending,
-            "pending": self._pending,
+            "pending": self.pending,
             "requests_total": self.requests_total,
             "dispatched_total": self.dispatched_total,
             "batches_total": completed,

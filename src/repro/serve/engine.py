@@ -1,16 +1,16 @@
-"""Uniform serving facade over flat and sharded ensembles.
+"""Uniform serving facade over every shard executor.
 
 The HTTP layer should not care whether it fronts a single
-:class:`~repro.core.ensemble.LSHEnsemble` (freshly built, or loaded
-from a v2 snapshot / dynamic manifest directory) or a whole
-:class:`~repro.parallel.sharded.ShardedEnsemble` cluster.
-:class:`ServingEngine` normalises the few points where their surfaces
-differ (``num_perm`` lives on the shards, drift reports nest), turns
-coalesced batches into the appropriate vectorised ``query_batch`` /
-``query_top_k_batch`` call, and canonicalises results into
-JSON-serialisable, deterministically ordered form — the exact same
-ordering for the same inputs regardless of topology, which is what the
-served-parity golden tests pin.
+:class:`~repro.core.ensemble.LSHEnsemble`, a whole
+:class:`~repro.parallel.sharded.ShardedEnsemble`, a process pool or a
+router over remote shard nodes: :class:`ServingEngine` turns coalesced
+batches into one vectorised ``query_batch`` / ``query_top_k_batch``
+call on its :class:`~repro.serve.executor.ShardExecutor` and
+canonicalises results into JSON-serialisable, deterministically ordered
+form — the exact same ordering for the same inputs regardless of
+topology, which is what the served-parity golden tests pin.
+Introspection is the executor's (it knows its topology); the engine
+only delegates.
 """
 
 from __future__ import annotations
@@ -20,9 +20,13 @@ import hashlib
 import numpy as np
 
 from repro.minhash.batch import SignatureBatch
-from repro.serve.executor import make_executor
+from repro.serve.executor import InProcessExecutor, ShardExecutor
 
 __all__ = ["ServingEngine", "sorted_keys"]
+
+# The version facts ``/stats`` repeats from ``/healthz``.
+_STATS_FACTS = ("index", "keys", "generation", "mutation_epoch",
+                "executor", "kernel", "bbit")
 
 
 def sorted_keys(found: set) -> list:
@@ -31,166 +35,41 @@ def sorted_keys(found: set) -> list:
 
 
 class ServingEngine:
-    """Dispatch/introspection adapter around one index (flat or sharded).
+    """Dispatch adapter around one shard executor.
 
     Parameters
     ----------
     index:
         A built :class:`~repro.core.ensemble.LSHEnsemble` or
-        :class:`~repro.parallel.sharded.ShardedEnsemble`.
-    pooled:
-        Optional :class:`~repro.parallel.procpool.PooledIndex` over the
-        same flat ``index``.  When present, coalesced batches dispatch
-        through it — sliced across worker processes over the shared
-        mmap segments — instead of running on the coalescer's single
-        GIL-bound thread.  Results are bit-identical either way;
-        introspection (epoch, tier sizes, signature seed) always reads
-        the authoritative in-process index.
-    executor:
-        A pre-built :class:`~repro.serve.executor.ShardExecutor` to
-        dispatch through instead of deriving one from
-        ``index``/``pooled`` — every query the engine answers goes
-        through this single interface, whatever the backend (thread,
-        process pool, or the router's remote fan-out).
+        :class:`~repro.parallel.sharded.ShardedEnsemble` (served
+        in-process), or any :class:`~repro.serve.executor.ShardExecutor`
+        — a process pool, a router — to dispatch through instead.
     """
 
-    def __init__(self, index, pooled=None, executor=None) -> None:
-        self.index = index
-        self.pooled = pooled
-        self.executor = (executor if executor is not None
-                         else make_executor(index, pooled))
-
-    @property
-    def _query_target(self):
-        """Where batches execute: always the shard executor."""
-        return self.executor
-
-    @property
-    def executor_kind(self) -> str:
-        """``"process"`` when batches run on a worker pool (flat pooled
-        adapter, or a process-mode sharded cluster), else ``"thread"``."""
-        if self.pooled is not None:
-            return "process"
-        return ("process"
-                if getattr(self.index, "executor", "thread") == "process"
-                else "thread")
-
-    def _pool(self):
-        if self.pooled is not None:
-            return self.pooled.pool
-        return getattr(self.index, "_pool", None)
-
-    # ------------------------------------------------------------------ #
-    # Normalised introspection
-    # ------------------------------------------------------------------ #
-
-    @property
-    def num_perm(self) -> int:
-        num_perm = getattr(self.index, "num_perm", None)
-        if num_perm is not None:
-            return int(num_perm)
-        return int(self.index.shards[0].num_perm)
+    def __init__(self, index) -> None:
+        self.executor = (index if isinstance(index, ShardExecutor)
+                         else InProcessExecutor(index))
 
     @property
     def mutation_epoch(self) -> int:
-        return int(self.index.mutation_epoch)
+        return int(self.executor.mutation_epoch)
 
     @property
     def generation(self) -> int:
-        return int(self.index.generation)
-
-    @property
-    def is_sharded(self) -> bool:
-        return hasattr(self.index, "shards")
-
-    @property
-    def kernel_name(self) -> str:
-        """Name of the hot-loop kernel backend answering queries."""
-        index = (self.index.shards[0] if self.is_sharded else self.index)
-        return index.kernel.name
-
-    @property
-    def bbit(self) -> int | None:
-        """b-bit band-key packing width (None = full 64-bit keys)."""
-        index = (self.index.shards[0] if self.is_sharded else self.index)
-        return index.bbit
-
-    def signature_seed(self) -> int:
-        """The permutation seed of the stored signatures.
-
-        Server-side hashing of ``values`` payloads must use the same
-        seed the index was built with, or the comparison is
-        meaningless; sample it from any stored signature (one shared
-        seed per index is the supported regime — mixed-seed entries are
-        not comparable to each other either).
-        """
-        index = (self.index.shards[0] if self.is_sharded else self.index)
-        for key in index.keys():
-            return int(index.get_signature(key).seed)
-        return 1
-
-    def signatures_for(self, keys) -> tuple[dict, dict]:
-        """``(signatures, sizes)`` for the stored keys this engine's
-        backend holds (the ``POST /signatures`` endpoint)."""
-        return self.executor.signatures_for(keys)
-
-    def apply_inserts(self, entries) -> tuple[list[bool], int]:
-        """Apply ``(key, signature, size)`` inserts through the
-        executor (the ``POST /insert`` endpoint).  Idempotent: already
-        present keys come back ``False`` in the applied-flags list.
-        Returns the flags plus the post-write mutation epoch — the
-        consistency token the response carries."""
-        return self.executor.insert_entries(entries)
-
-    def apply_removes(self, keys) -> tuple[list[bool], int]:
-        """Apply removals (the ``POST /remove`` endpoint); absent keys
-        come back ``False``."""
-        return self.executor.remove_keys(keys)
-
-    def snapshot_bytes(self) -> bytes | None:
-        """The index packed for replica bootstrap (``GET /snapshot``);
-        ``None`` when the topology has no single index to ship."""
-        from repro.persistence import pack_snapshot_bytes
-
-        return pack_snapshot_bytes(self.index)
+        return int(self.executor.generation)
 
     def describe(self) -> dict:
         """The ``/healthz`` payload: liveness plus version counters."""
-        return {
-            "status": "ok",
-            "index": type(self.index).__name__,
-            "keys": len(self.index),
-            "num_perm": self.num_perm,
-            "generation": self.generation,
-            "mutation_epoch": self.mutation_epoch,
-            "executor": self.executor_kind,
-            "kernel": self.kernel_name,
-            "bbit": self.bbit,
-            "signature_seed": self.signature_seed(),
-        }
+        return self.executor.describe()
 
     def stats(self) -> dict:
-        """Tier sizes and the full drift report (``/stats`` core)."""
-        drift = self.index.drift_stats()
-        payload = {
-            "index": type(self.index).__name__,
-            "keys": len(self.index),
-            "generation": self.generation,
-            "mutation_epoch": self.mutation_epoch,
-            "executor": self.executor_kind,
-            "kernel": self.kernel_name,
-            "bbit": self.bbit,
-            "tiers": {
-                "base": drift["base_keys"],
-                "delta": drift["delta_keys"],
-                "tombstones": drift["tombstones"],
-            },
-            "drift": drift,
-        }
-        pool = self._pool()
-        if pool is not None:
-            payload["pool"] = pool.stats()
-        return payload
+        """The ``/stats`` core: version facts plus the executor's
+        sections (tier sizes and drift, or the router's counters)."""
+        # Sections first: a router re-polls its shards while assembling
+        # them, and the facts should reflect that poll.
+        sections = self.executor.stats_sections()
+        facts = self.executor.describe()
+        return {**{key: facts[key] for key in _STATS_FACTS}, **sections}
 
     # ------------------------------------------------------------------ #
     # Batched dispatch (called from the coalescer's worker thread)
@@ -209,15 +88,14 @@ class ServingEngine:
         matrix = np.vstack([row for row, _ in payloads])
         sizes = [size for _, size in payloads]
         batch = SignatureBatch(None, matrix, seed=seed)
-        target = self._query_target
         if kind == "query":
             threshold = group_key[2]
-            found = target.query_batch(batch, sizes=sizes,
-                                       threshold=threshold)
+            found = self.executor.query_batch(batch, sizes=sizes,
+                                              threshold=threshold)
             return [sorted_keys(f) for f in found]
         if kind == "top_k":
             k, min_threshold = group_key[2], group_key[3]
-            ranked = target.query_top_k_batch(
+            ranked = self.executor.query_top_k_batch(
                 batch, k, sizes=sizes, min_threshold=min_threshold)
             return [[[key, float(score)] for key, score in row]
                     for row in ranked]

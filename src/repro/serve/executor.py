@@ -1,31 +1,42 @@
 """The shard-executor interface: *where* a batch of queries executes.
 
-PR 4's serving engine dispatched straight onto the wrapped index; PR 5
-bolted the process pool on beside it.  Multi-node serving adds a third
-backend — a shard-node server reached over HTTP — and juggling three
-ad-hoc targets inside the engine (and a fourth inside the router) does
-not scale.  This module names the contract once:
+There is one read primitive — ``query_batch`` — and
+:class:`~repro.core.querycore.QuerySurface` derives the single-query
+and top-k entry points from it (see that module).  A
+:class:`ShardExecutor` is a ``QuerySurface`` for **one shard backend**
+that additionally stamps every answer with the mutation epoch it
+reflects.  What a backend supplies:
 
-:class:`ShardExecutor` is the query surface for **one shard backend** —
-the four vectorised/batch query paths, the single-query forms, the
-candidate-pool fetch the global top-k ladder needs, and the mutation
-epoch that stamps every answer.  Implementations:
+* ``query_batch_with_epoch`` / ``signatures_with_epoch`` — the two
+  reads the router's fan-out and global top-k ladder call (probe rows
+  at a threshold; fetch the candidate pool), each returning the epoch;
+* ``insert_entries`` / ``remove_keys`` — the idempotent write path;
+* ``mutation_epoch``, ``describe`` (the ``/healthz`` payload),
+  ``stats`` and ``close``.
 
-* :class:`InProcessExecutor` — today's path: the built index object
-  itself (flat :class:`~repro.core.ensemble.LSHEnsemble` or a whole
+``query_batch``, ``query``, ``query_top_k`` and ``signatures_for`` are
+derived.  Implementations:
+
+* :class:`InProcessExecutor` — the built index object itself (flat
+  :class:`~repro.core.ensemble.LSHEnsemble` or a whole
   :class:`~repro.parallel.sharded.ShardedEnsemble`).
-* :class:`ProcPoolExecutor` — PR 5's
+* :class:`ProcPoolExecutor` — a
   :class:`~repro.parallel.procpool.PooledIndex`: batches row-sliced
-  across worker processes over shared mmap segments.
+  across worker processes over shared mmap segments.  Both forward
+  ``query_top_k_batch`` to their index so the ladder stays atomic
+  under the index lock / inside one pool-worker round trip.
 * :class:`~repro.serve.remote.RemoteShardExecutor` — keep-alive HTTP to
   a shard-node server (with replica failover); lives in
   :mod:`repro.serve.remote` so *all* network transport is in one module
   (enforced by lint rule RL007).
+* :class:`~repro.serve.router.RouterIndex` — many executors behind one:
+  its probe is a fan-out + row-wise union, its pool fetch a fan-out +
+  dict union, and the shared top-k driver over those two *is* the
+  global ladder.
 
-The serving engine talks only to this interface; the router tier
-(:mod:`repro.serve.router`) composes many remote executors behind the
-same engine.  Results are bit-identical across implementations — the
-``tests/distributed`` parity battery pins it.
+The serving engine talks only to this interface.  Results are
+bit-identical across implementations — the ``tests/distributed`` parity
+battery pins it.
 """
 
 from __future__ import annotations
@@ -33,9 +44,11 @@ from __future__ import annotations
 import abc
 from collections.abc import Hashable, Sequence
 
+from repro.core.querycore import QuerySurface
+
 __all__ = ["ShardExecutor", "InProcessExecutor", "ProcPoolExecutor",
            "ShardUnavailableError", "EpochConsistencyError",
-           "WriteQuorumError", "make_executor"]
+           "WriteQuorumError"]
 
 
 class ShardUnavailableError(RuntimeError):
@@ -60,51 +73,38 @@ class EpochConsistencyError(RuntimeError):
     ``503`` — an immediate retry starts a fresh, consistent ladder."""
 
 
-class ShardExecutor(abc.ABC):
-    """Query surface for one shard backend; see the module docstring.
+class ShardExecutor(QuerySurface, abc.ABC):
+    """Query surface for one shard backend; see the module docstring."""
 
-    The five query paths mirror the index surface exactly
-    (``query`` / ``query_batch`` / ``query_top_k`` /
-    ``query_top_k_batch`` plus the signature/size pool fetch that backs
-    global top-k ranking), so an executor can stand in anywhere an
-    index could answer queries.
-    """
-
-    #: Human-readable transport kind ("thread" / "process" / "remote").
+    #: Transport kind ("thread" / "process" / "remote" / "router").
     kind: str = "thread"
 
-    # ---------------------- the five query paths -------------------- #
+    # ------------------------- the read path ------------------------ #
 
     @abc.abstractmethod
-    def query_batch(self, batch, sizes: Sequence[int] | None = None,
-                    threshold: float | None = None) -> list[set]:
-        """One result set per batch row (vectorised threshold path)."""
+    def query_batch_with_epoch(self, batch,
+                               sizes: Sequence[int] | None = None,
+                               threshold: float | None = None,
+                               ) -> tuple[list[set], int]:
+        """One result set per batch row, plus the mutation epoch the
+        answers reflect."""
 
     @abc.abstractmethod
-    def query_top_k_batch(self, batch, k: int,
-                          sizes: Sequence[int] | None = None,
-                          min_threshold: float = 0.05) -> list[list]:
-        """One ``[(key, score), ...]`` ranking per batch row."""
-
-    @abc.abstractmethod
-    def query(self, signature, size: int | None = None,
-              threshold: float | None = None) -> set:
-        """Single-signature threshold query."""
-
-    @abc.abstractmethod
-    def query_top_k(self, signature, k: int, size: int | None = None,
-                    min_threshold: float = 0.05) -> list:
-        """Single-signature top-k ranking."""
-
-    @abc.abstractmethod
-    def signatures_for(self, keys: Sequence[Hashable],
-                       ) -> tuple[dict, dict]:
-        """``(signatures, sizes)`` for the keys this shard holds.
+    def signatures_with_epoch(self, keys: Sequence[Hashable],
+                              ) -> tuple[dict, dict, int]:
+        """``(signatures, sizes, epoch)`` for the keys this shard holds.
 
         Keys the shard does not hold are silently absent — the router
         unions candidate pools across shards, so absence means "someone
         else's key", not an error.
         """
+
+    def query_batch(self, batch, sizes=None, threshold=None) -> list[set]:
+        return self.query_batch_with_epoch(batch, sizes=sizes,
+                                           threshold=threshold)[0]
+
+    def signatures_for(self, keys) -> tuple[dict, dict]:
+        return self.signatures_with_epoch(keys)[:2]
 
     # ------------------------- the write path ----------------------- #
 
@@ -129,7 +129,7 @@ class ShardExecutor(abc.ABC):
         """Apply removals; absent keys report ``False``, not errors."""
         raise NotImplementedError("%s does not accept writes" % self.kind)
 
-    # ----------------------- epoch observation ---------------------- #
+    # ------------------------- introspection ------------------------ #
 
     @property
     @abc.abstractmethod
@@ -137,31 +137,33 @@ class ShardExecutor(abc.ABC):
         """The epoch the *next* answer is expected to reflect (for
         remote executors: the last epoch observed on the wire)."""
 
-    def query_batch_with_epoch(self, batch,
-                               sizes: Sequence[int] | None = None,
-                               threshold: float | None = None,
-                               ) -> tuple[list[set], int]:
-        """``query_batch`` plus the epoch the answers reflect.
+    @property
+    def generation(self) -> int:
+        """Compaction generation (stamped on every query response)."""
+        return int(self.describe()["generation"])
 
-        The in-process default reads the epoch *before* dispatching —
-        any mutation racing the dispatch has either already bumped it
-        (answer is newer than the label, the accepted imprecision) or
-        lands after (label exact).  Remote executors override this with
-        the epoch carried in the response itself.
-        """
-        epoch = self.mutation_epoch
-        return self.query_batch(batch, sizes=sizes,
-                                threshold=threshold), epoch
-
-    # -------------------------- lifecycle --------------------------- #
-
+    @abc.abstractmethod
     def describe(self) -> dict:
-        """Transport-level description merged into ``/healthz``."""
-        return {"executor": self.kind}
+        """This backend's self-description: the ``/healthz`` payload
+        (``index``, ``keys``, ``num_perm``, ``generation``,
+        ``mutation_epoch``, ``executor``, ``kernel``, ``bbit``,
+        ``signature_seed``, ...)."""
 
     def stats(self) -> dict:
-        """Transport-level counters merged into ``/stats``."""
+        """This backend's counters."""
         return {"executor": self.kind}
+
+    def stats_sections(self) -> dict:
+        """The sections this backend adds to ``/stats`` beneath the
+        version facts :meth:`describe` reports."""
+        return self.stats()
+
+    def snapshot_bytes(self) -> bytes | None:
+        """The index packed for replica bootstrap (``GET /snapshot``);
+        ``None`` when the backend has no single index to ship."""
+        return None
+
+    # -------------------------- lifecycle --------------------------- #
 
     def close(self) -> None:  # pragma: no cover - trivial default
         """Release transport resources (pools, connections)."""
@@ -174,8 +176,10 @@ class ShardExecutor(abc.ABC):
 
 
 class _IndexBackedExecutor(ShardExecutor):
-    """Shared plumbing for executors whose queries land on an
-    in-process index object (directly or through a worker pool)."""
+    """Executors whose queries land on an in-process index object
+    (directly or through a worker pool).  This is where the topology
+    is known, so the ``/healthz`` / ``/stats`` facts are assembled
+    here."""
 
     def __init__(self, target, index) -> None:
         # ``target`` answers queries; ``index`` is the authoritative
@@ -187,39 +191,28 @@ class _IndexBackedExecutor(ShardExecutor):
         return self._target.query_batch(batch, sizes=sizes,
                                         threshold=threshold)
 
+    def query_batch_with_epoch(self, batch, sizes=None, threshold=None):
+        # The epoch is read *before* dispatching: a mutation racing the
+        # dispatch has either already bumped it (answer newer than the
+        # label, the accepted imprecision) or lands after (label exact).
+        epoch = self.mutation_epoch
+        return self.query_batch(batch, sizes=sizes,
+                                threshold=threshold), epoch
+
     def query_top_k_batch(self, batch, k, sizes=None, min_threshold=0.05):
+        # Forwarded, not derived: the whole ladder stays atomic under
+        # the index lock / inside one pool-worker round trip.
         return self._target.query_top_k_batch(
             batch, k, sizes=sizes, min_threshold=min_threshold)
 
-    def query(self, signature, size=None, threshold=None):
-        return self._target.query(signature, size, threshold)
-
-    def query_top_k(self, signature, k, size=None, min_threshold=0.05):
-        return self._target.query_top_k(signature, k, size=size,
-                                        min_threshold=min_threshold)
-
-    def signatures_for(self, keys):
-        shards = (self._index.shards
-                  if hasattr(self._index, "shards") else [self._index])
-        pool: dict = {}
-        sizes: dict = {}
-        for key in keys:
-            for shard in shards:
-                if key in shard:
-                    pool[key] = shard.get_signature(key)
-                    sizes[key] = shard.size_of(key)
-                    break
-        return pool, sizes
-
-    def _holds(self, key) -> bool:
-        shards = (self._index.shards
-                  if hasattr(self._index, "shards") else [self._index])
-        return any(key in shard for shard in shards)
+    def signatures_with_epoch(self, keys):
+        epoch = self.mutation_epoch
+        return (*self._index.signatures_for(keys), epoch)
 
     def insert_entries(self, entries, quorum=None):
         applied = []
         for key, signature, size in entries:
-            if self._holds(key):
+            if key in self._index:
                 applied.append(False)
                 continue
             self._index.insert(key, signature, int(size))
@@ -229,7 +222,7 @@ class _IndexBackedExecutor(ShardExecutor):
     def remove_keys(self, keys, quorum=None):
         removed = []
         for key in keys:
-            if not self._holds(key):
+            if key not in self._index:
                 removed.append(False)
                 continue
             self._index.remove(key)
@@ -241,14 +234,71 @@ class _IndexBackedExecutor(ShardExecutor):
         return int(self._index.mutation_epoch)
 
     @property
-    def index(self):
-        return self._index
+    def generation(self) -> int:
+        return int(self._index.generation)
+
+    @property
+    def kind(self) -> str:
+        """``"process"`` when batches run on a worker pool (here: a
+        process-mode sharded cluster), else ``"thread"``."""
+        return ("process"
+                if getattr(self._index, "executor", None) == "process"
+                else "thread")
+
+    def _pool(self):
+        return getattr(self._index, "_pool", None)
+
+    def _flat(self):
+        """A flat ensemble carrying the build facts every shard shares
+        (``num_perm``, kernel, b-bit width, signature seed): the index
+        itself, or a sharded cluster's first shard."""
+        index = self._index
+        return index.shards[0] if hasattr(index, "shards") else index
+
+    def describe(self) -> dict:
+        index, flat = self._index, self._flat()
+        # Server-side hashing of ``values`` payloads must use the seed
+        # the index was built with; sample it from any stored signature
+        # (one shared seed per index is the supported regime).
+        seed = next((int(flat.get_signature(key).seed)
+                     for key in flat.keys()), 1)
+        return {
+            "status": "ok",
+            "index": type(index).__name__,
+            "keys": len(index),
+            "num_perm": int(flat.num_perm),
+            "generation": self.generation,
+            "mutation_epoch": self.mutation_epoch,
+            "executor": self.kind,
+            "kernel": flat.kernel.name,
+            "bbit": flat.bbit,
+            "signature_seed": seed,
+        }
+
+    def stats(self) -> dict:
+        """Tier sizes and the full drift report (plus pool counters)."""
+        drift = self._index.drift_stats()
+        payload = {
+            "tiers": {
+                "base": drift["base_keys"],
+                "delta": drift["delta_keys"],
+                "tombstones": drift["tombstones"],
+            },
+            "drift": drift,
+        }
+        pool = self._pool()
+        if pool is not None:
+            payload["pool"] = pool.stats()
+        return payload
+
+    def snapshot_bytes(self) -> bytes | None:
+        from repro.persistence import pack_snapshot_bytes
+
+        return pack_snapshot_bytes(self._index)
 
 
 class InProcessExecutor(_IndexBackedExecutor):
-    """Today's path: dispatch straight onto the built index object."""
-
-    kind = "thread"
+    """Dispatch straight onto the built index object."""
 
     def __init__(self, index) -> None:
         super().__init__(index, index)
@@ -264,18 +314,9 @@ class ProcPoolExecutor(_IndexBackedExecutor):
 
     def __init__(self, pooled) -> None:
         super().__init__(pooled, pooled.index)
-        self.pooled = pooled
 
-    def stats(self) -> dict:
-        return {"executor": self.kind, "pool": self.pooled.pool.stats()}
+    def _pool(self):
+        return self._target.pool
 
     def close(self) -> None:
-        self.pooled.close()
-
-
-def make_executor(index, pooled=None) -> ShardExecutor:
-    """The executor for an index (+ optional pool adapter): the
-    back-compat construction path the serving engine uses."""
-    if pooled is not None:
-        return ProcPoolExecutor(pooled)
-    return InProcessExecutor(index)
+        self._target.close()

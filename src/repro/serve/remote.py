@@ -10,8 +10,8 @@ Two layers:
 
 * :class:`ShardNodeClient` — a pool of persistent keep-alive
   ``http.client`` connections to **one** shard-node server, speaking
-  the node's public JSON endpoints (``/query``, ``/query_top_k``,
-  ``/signatures``, ``/insert``, ``/remove``, ``/healthz``, ``/stats``)
+  the node's public JSON endpoints (``/query``, ``/signatures``,
+  ``/insert``, ``/remove``, ``/healthz``, ``/stats``)
   plus the binary ``/snapshot`` stream.  Every query response carries
   the node's ``mutation_epoch``; the client hands it back alongside the
   results so callers can reason about staleness per call, not per
@@ -52,6 +52,7 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core.querycore import normalise_queries
 from repro.minhash.lean import LeanMinHash
 from repro.serve.executor import (
     ShardExecutor,
@@ -216,17 +217,6 @@ class ShardNodeClient:
         data = self._json_call("POST", "/query", payload)
         results = [{restore_key(key) for key in found}
                    for found in data["results"]]
-        return results, int(data["mutation_epoch"])
-
-    def query_top_k(self, items: list[dict], k: int,
-                    min_threshold: float) -> tuple[list[list], int]:
-        """POST ``/query_top_k``; per-item ``[(key, score), ...]``."""
-        data = self._json_call("POST", "/query_top_k", {
-            "queries": items, "k": int(k),
-            "min_threshold": float(min_threshold)})
-        results = [[(restore_key(key), float(score))
-                    for key, score in ranked]
-                   for ranked in data["results"]]
         return results, int(data["mutation_epoch"])
 
     def signatures(self, keys: Sequence) -> tuple[dict, dict, int]:
@@ -407,17 +397,6 @@ class RemoteShardExecutor(ShardExecutor):
                  "size": int(size)}
                 for row, size in zip(matrix, sizes)]
 
-    def _normalise(self, batch, sizes):
-        from repro.core.ensemble import _as_batch
-
-        sb = _as_batch(batch)
-        if sizes is None:
-            sizes = [max(1, int(c)) for c in sb.counts()]
-        elif len(sizes) != len(sb):
-            raise ValueError("got %d sizes for %d signatures"
-                             % (len(sizes), len(sb)))
-        return sb, [int(s) for s in sizes]
-
     def _chunked(self, items: list[dict], call) -> tuple[list, int]:
         """Split one logical batch into wire-sized requests.
 
@@ -440,7 +419,7 @@ class RemoteShardExecutor(ShardExecutor):
         return out, int(epoch if epoch is not None else 0)
 
     def query_batch_with_epoch(self, batch, sizes=None, threshold=None):
-        sb, sizes = self._normalise(batch, sizes)
+        sb, sizes = normalise_queries(batch, sizes)
         if len(sb) == 0:
             return [], self.mutation_epoch
         items = self._items(sb.matrix, sb.seed, sizes)
@@ -451,48 +430,6 @@ class RemoteShardExecutor(ShardExecutor):
 
         results, epoch = self._call(op)
         return results, self._note_epoch(epoch)
-
-    def query_batch(self, batch, sizes=None, threshold=None):
-        return self.query_batch_with_epoch(batch, sizes=sizes,
-                                           threshold=threshold)[0]
-
-    def query_top_k_batch(self, batch, k, sizes=None, min_threshold=0.05):
-        sb, sizes = self._normalise(batch, sizes)
-        if len(sb) == 0:
-            return []
-        items = self._items(sb.matrix, sb.seed, sizes)
-
-        def op(client):
-            return self._chunked(
-                items,
-                lambda chunk: client.query_top_k(chunk, k, min_threshold))
-
-        results, epoch = self._call(op)
-        self._note_epoch(epoch)
-        return results
-
-    def query(self, signature, size=None, threshold=None):
-        from repro.core.ensemble import _as_lean
-
-        lean = _as_lean(signature)
-        sizes = [int(size) if size is not None
-                 else max(1, lean.count())]
-        found, _ = self.query_batch_with_epoch(
-            [lean], sizes=sizes, threshold=threshold)
-        return found[0]
-
-    def query_top_k(self, signature, k, size=None, min_threshold=0.05):
-        from repro.core.ensemble import _as_lean
-
-        lean = _as_lean(signature)
-        sizes = [int(size) if size is not None
-                 else max(1, lean.count())]
-        return self.query_top_k_batch([lean], k, sizes=sizes,
-                                      min_threshold=min_threshold)[0]
-
-    def signatures_for(self, keys):
-        pool, sizes, epoch = self.signatures_with_epoch(keys)
-        return pool, sizes
 
     def signatures_with_epoch(self, keys) -> tuple[dict, dict, int]:
         keys = list(keys)
@@ -581,15 +518,12 @@ class RemoteShardExecutor(ShardExecutor):
         data = self._call(lambda client: client.healthz())
         return self._note_epoch(int(data["mutation_epoch"]))
 
-    def healthz(self) -> dict:
+    def describe(self) -> dict:
+        """The ``/healthz`` payload of whichever replica answers."""
         return self._call(lambda client: client.healthz())
 
     def node_stats(self) -> dict:
         return self._call(lambda client: client.stats())
-
-    def describe(self) -> dict:
-        return {"executor": self.kind, "shard": self.shard,
-                "endpoints": self.endpoints}
 
     def stats(self) -> dict:
         with self._lock:

@@ -3,9 +3,9 @@
 :class:`RouterIndex` composes one :class:`~repro.serve.executor
 .ShardExecutor` per shard (usually
 :class:`~repro.serve.remote.RemoteShardExecutor` — keep-alive HTTP with
-replica failover) behind the same index-shaped query surface the
-serving engine already understands, so the whole existing HTTP stack
-(coalescer, admission control, stats) fronts a cluster unchanged.
+replica failover) and is itself a ``ShardExecutor``, so it runs under
+the one :class:`~repro.serve.engine.ServingEngine` and the whole HTTP
+stack (coalescer, admission control, stats) fronts a cluster unchanged.
 Placement comes from a :class:`~repro.serve.placement.PlacementMap`;
 swapping maps (:meth:`RouterIndex.set_placement`) is how rebalance and
 decommission happen — in-flight requests drain on the old replica
@@ -14,14 +14,16 @@ clients, new requests see the new topology, nothing is dropped.
 Query semantics (mirroring :class:`~repro.parallel.sharded
 .ShardedEnsemble`, which is what the parity battery compares against):
 
-* ``query`` / ``query_batch`` — one fan-out round, per-row union over
-  shards.  Each shard answers at a single epoch (the transport enforces
-  it chunk-to-chunk) and the response is tagged with the **minimum**
-  epoch observed across shards — the staleness floor.
-* ``query_top_k[_batch]`` — the *global* threshold ladder: every rung
-  is a cluster-wide fan-out, candidate recovery and the stop rule see
-  the union over shards, and the final ranking runs locally over
-  candidate signatures fetched from their owning shards
+* ``query_batch`` (``query`` is a one-row batch) — one fan-out round,
+  per-row union over shards.  Each shard answers at a single epoch (the
+  transport enforces it chunk-to-chunk) and the response is tagged with
+  the **minimum** epoch observed across shards — the staleness floor.
+* ``query_top_k_batch`` (``query_top_k`` is a one-row batch) — the
+  shared top-k driver (:func:`repro.core.querycore.top_k_batch`) over
+  that probe, which makes the ladder *global* by construction: every
+  rung is a cluster-wide fan-out, candidate recovery and the stop rule
+  see the union over shards, and the final ranking runs locally over
+  candidate signatures fetched from their owning shards in one round
   (``POST /signatures``), preserving the flat index's ordering and
   tie-breaks bit for bit.
 
@@ -74,18 +76,10 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.ensemble import (
-    _as_batch,
-    _as_lean,
-    _ladder_candidates,
-    _ladder_candidates_batch,
-    _validate_topk_args,
-)
-from repro.minhash.batch import SignatureBatch
-from repro.serve.engine import ServingEngine
+from repro.core.querycore import normalise_queries, top_k_batch
+from repro.minhash.batch import SignatureBatch, as_lean
 from repro.serve.executor import (
     EpochConsistencyError,
-    InProcessExecutor,
     ShardExecutor,
     ShardUnavailableError,
 )
@@ -98,7 +92,7 @@ from repro.serve.remote import (
 )
 from repro.serve.server import QueryServer
 
-__all__ = ["RouterIndex", "RouterEngine", "RouterServer"]
+__all__ = ["RouterIndex", "RouterServer"]
 
 
 class _LadderRestart(Exception):
@@ -111,10 +105,20 @@ class _LadderRestart(Exception):
         self.after = after
 
 
-class RouterIndex:
-    """Index-shaped facade over per-shard executors; module docstring
-    has the semantics.  Build one with :meth:`from_manifest` (remote
-    cluster) or :meth:`from_executors` (tests, in-process shards)."""
+class RouterIndex(ShardExecutor):
+    """Many per-shard executors behind one; module docstring has the
+    semantics.  Build one with :meth:`from_manifest` (remote cluster)
+    or :meth:`from_executors` (tests, in-process shards).
+
+    **Parity precondition.**  ``router == flat`` holds bit for bit only
+    when every shard was built with the flat index's partition bounds
+    (``shard.index(entries, partitions=flat.partitions)``): tuning
+    reads the partition upper bound, so per-shard equi-depth bounds
+    over a skewed (power-law) corpus select different ``(b, r)`` and
+    return different candidates.  Near-uniform sizes hide this.
+    """
+
+    kind = "router"
 
     def __init__(self, executors: Mapping[str, ShardExecutor], *,
                  placement: PlacementMap | None = None,
@@ -190,17 +194,6 @@ class RouterIndex:
 
     # ------------------- cluster facts / lifecycle ------------------ #
 
-    @staticmethod
-    def _shard_info(executor: ShardExecutor) -> dict:
-        """One shard's self-description (its ``/healthz`` payload, or
-        the equivalent computed locally for in-process executors)."""
-        if hasattr(executor, "healthz"):
-            return executor.healthz()
-        info = ServingEngine(executor.index).describe()
-        info["signature_seed"] = ServingEngine(
-            executor.index).signature_seed()
-        return info
-
     def connect(self) -> None:
         """Fetch every shard's description, verify the cluster is
         coherent, and prime the per-shard epoch observations.
@@ -213,7 +206,7 @@ class RouterIndex:
         to it is serving the wrong data — same treatment.
         """
         infos = self._fanout(
-            lambda ex: (self._shard_info(ex), ex.mutation_epoch))
+            lambda ex: (ex.describe(), ex.mutation_epoch))
         first_name = next(iter(infos))
         first = infos[first_name]
         for name, info in infos.items():
@@ -243,7 +236,7 @@ class RouterIndex:
         """Re-poll the shards (key counts, generation, epochs) and
         return the per-shard descriptions."""
         infos = self._fanout(
-            lambda ex: (self._shard_info(ex), ex.mutation_epoch))
+            lambda ex: (ex.describe(), ex.mutation_epoch))
         with self._lock:
             for name, info in infos.items():
                 self._keys[name] = int(info.get("keys", 0))
@@ -252,18 +245,6 @@ class RouterIndex:
                 + [int(info.get("generation", 0))
                    for info in infos.values()])
         return infos
-
-    @property
-    def signature_seed(self) -> int:
-        return self._seed
-
-    @property
-    def kernel_name(self) -> str:
-        return self._kernel
-
-    @property
-    def bbit(self) -> int | None:
-        return self._bbit
 
     @property
     def generation(self) -> int:
@@ -305,6 +286,25 @@ class RouterIndex:
     def executors(self) -> dict[str, ShardExecutor]:
         return dict(self._executors)
 
+    def describe(self) -> dict:
+        """The cluster facts gathered at connect time (refreshed on
+        ``/stats``), in the shape of a node's ``/healthz`` payload."""
+        degraded = self.degraded_shards()
+        return {
+            "status": "degraded" if degraded else "ok",
+            "index": "RouterIndex",
+            "keys": len(self),
+            "num_perm": self.num_perm,
+            "generation": self.generation,
+            "mutation_epoch": self.mutation_epoch,
+            "executor": self.kind,
+            "kernel": self._kernel,
+            "bbit": self._bbit,
+            "signature_seed": self._seed,
+            "shards": list(self.shard_names),
+            "degraded": degraded,
+        }
+
     def stats(self) -> dict:
         with self._lock:
             counters = dict(self._counters)
@@ -331,6 +331,13 @@ class RouterIndex:
             "retry_rate": (retries / requests) if requests else 0.0,
             **counters,
         }
+
+    def stats_sections(self) -> dict:
+        try:
+            self.refresh()
+        except ShardUnavailableError:
+            pass  # stats must stay observable while shards are down
+        return {"router": self.stats()}
 
     # --------------------- topology transitions --------------------- #
 
@@ -429,52 +436,20 @@ class RouterIndex:
                 % (len(failures), len(self._executors), detail))
         return out
 
-    @staticmethod
-    def _merge_rows(per_shard: dict, n: int) -> list[set]:
-        merged: list[set] = [set() for _ in range(n)]
+    def _batch_round(self, sb: SignatureBatch, sizes: list[int],
+                     threshold, tracker: dict | None) -> list[set]:
+        """One fan-out round: per-row union of the shards' answers."""
+        per_shard = self._fanout(
+            lambda ex: ex.query_batch_with_epoch(
+                sb, sizes=sizes, threshold=threshold),
+            tracker=tracker)
+        merged: list[set] = [set() for _ in range(len(sb))]
         for shard_rows in per_shard.values():
             for j, hits in enumerate(shard_rows):
                 merged[j] |= hits
         return merged
 
-    def _batch_round(self, sb: SignatureBatch, sizes: list[int],
-                     threshold, tracker: dict | None) -> list[set]:
-        per_shard = self._fanout(
-            lambda ex: ex.query_batch_with_epoch(
-                sb, sizes=sizes, threshold=threshold),
-            tracker=tracker)
-        return self._merge_rows(per_shard, len(sb))
-
-    def _normalise(self, batch, sizes):
-        sb = _as_batch(batch)
-        if sizes is None:
-            sizes = [max(1, int(c)) for c in sb.counts()]
-        elif len(sizes) != len(sb):
-            raise ValueError("got %d sizes for %d signatures"
-                             % (len(sizes), len(sb)))
-        return sb, [int(s) for s in sizes]
-
-    # ------------------------- query paths -------------------------- #
-
-    def query_batch(self, batch, sizes: Sequence[int] | None = None,
-                    threshold: float | None = None) -> list[set]:
-        sb, sizes = self._normalise(batch, sizes)
-        if len(sb) == 0:
-            return []
-        return self._batch_round(sb, sizes, threshold, tracker=None)
-
-    def query(self, signature, size: int | None = None,
-              threshold: float | None = None) -> set:
-        lean = _as_lean(signature)
-        q = int(size) if size is not None else max(1, lean.count())
-        return self.query_batch([lean], sizes=[q],
-                                threshold=threshold)[0]
-
-    def signatures_for(self, keys) -> tuple[dict, dict]:
-        pool, sizes = self._pool_fetch(list(keys), tracker=None)
-        return pool, sizes
-
-    def _pool_fetch(self, keys: list, tracker: dict | None,
+    def _pool_fetch(self, keys, tracker: dict | None,
                     ) -> tuple[dict, dict]:
         """Candidate signatures/sizes, unioned from their owning
         shards; participates in the ladder's epoch tracking."""
@@ -485,80 +460,39 @@ class RouterIndex:
         keys = sorted(keys, key=str)
 
         def op(executor):
-            if hasattr(executor, "signatures_with_epoch"):
-                pool, sizes, epoch = executor.signatures_with_epoch(keys)
-                return (pool, sizes), epoch
-            pool, sizes = executor.signatures_for(keys)
-            return (pool, sizes), executor.mutation_epoch
+            pool, sizes, epoch = executor.signatures_with_epoch(keys)
+            return (pool, sizes), epoch
 
-        per_shard = self._fanout(op, tracker=tracker)
         pool: dict = {}
         sizes: dict = {}
-        for shard_pool, shard_sizes in per_shard.values():
+        for shard_pool, shard_sizes in self._fanout(
+                op, tracker=tracker).values():
             pool.update(shard_pool)
             sizes.update(shard_sizes)
         return pool, sizes
 
-    def _rank(self, query_signature, query_size: int, candidates,
-              pool: dict, sizes: dict, k: int) -> list:
-        """Rank one row's candidates exactly as the flat index would.
+    # ------------------------- query paths -------------------------- #
 
-        A candidate the pool fetch could not resolve means the cluster
-        changed between the rung that surfaced it and the fetch — in
-        strict mode that is an epoch inconsistency (restart the
-        ladder); in partial mode its shard is down and the key is
-        dropped with the rest of that shard's answers.
-        """
-        from repro.core.estimation import rank_candidates
+    def query_batch_with_epoch(self, batch, sizes=None, threshold=None):
+        sb, sizes = normalise_queries(batch, sizes)
+        found = (self._batch_round(sb, sizes, threshold, tracker=None)
+                 if len(sb) else [])
+        # Read after the fan-out, which just observed every shard.
+        return found, self.mutation_epoch
 
-        missing = [key for key in candidates if key not in pool]
-        if missing and not self.partial:
-            raise _LadderRestart(repr(missing[0]), -1, -1)
-        row_pool = {key: pool[key] for key in candidates
-                    if key in pool}
-        row_sizes = {key: sizes[key] for key in row_pool}
-        return rank_candidates(query_signature, row_pool,
-                               query_size=query_size,
-                               sizes=row_sizes)[:k]
-
-    def query_top_k(self, signature, k: int, size: int | None = None,
-                    min_threshold: float = 0.05) -> list:
-        _validate_topk_args(k, min_threshold)
-        lean = _as_lean(signature)
-        q = int(size) if size is not None else max(1, lean.count())
-        restart: _LadderRestart | None = None
-        for _ in range(self.max_ladder_restarts + 1):
-            tracker: dict = {}
-            try:
-                candidates = _ladder_candidates(
-                    lambda threshold: self._batch_round(
-                        _as_batch([lean]), [q], threshold, tracker)[0],
-                    k, min_threshold)
-                pool, sizes = self._pool_fetch(list(candidates), tracker)
-                return self._rank(lean, q, candidates, pool, sizes, k)
-            except _LadderRestart as exc:
-                restart = exc
-                with self._lock:
-                    self._counters["ladder_restarts"] += 1
-        raise EpochConsistencyError(
-            "top-k ladder restarted %d times without observing a "
-            "stable cluster (last offender: shard %s)"
-            % (self.max_ladder_restarts, restart.shard))
+    def signatures_with_epoch(self, keys):
+        pool, sizes = self._pool_fetch(list(keys), tracker=None)
+        return pool, sizes, self.mutation_epoch
 
     def query_top_k_batch(self, batch, k: int,
                           sizes: Sequence[int] | None = None,
                           min_threshold: float = 0.05) -> list[list]:
-        _validate_topk_args(k, min_threshold)
-        sb, qs = self._normalise(batch, sizes)
-        n = len(sb)
-        if n == 0:
-            return []
+        """The shared top-k driver over cluster-wide fan-outs, retried
+        from scratch whenever a shard changes epoch mid-ladder."""
         restart: _LadderRestart | None = None
         for _ in range(self.max_ladder_restarts + 1):
-            tracker = {}
             try:
-                return self._top_k_batch_once(sb, n, k, qs,
-                                              min_threshold, tracker)
+                return self._top_k_attempt(batch, k, sizes, min_threshold)
             except _LadderRestart as exc:
                 restart = exc
                 with self._lock:
@@ -568,19 +502,26 @@ class RouterIndex:
             "stable cluster (last offender: shard %s)"
             % (self.max_ladder_restarts, restart.shard))
 
-    def _top_k_batch_once(self, sb, n: int, k: int, qs: list[int],
-                          min_threshold: float, tracker: dict,
-                          ) -> list[list]:
-        def rung(rows, threshold):
-            sub = SignatureBatch(None, sb.take(rows), seed=sb.seed)
-            return self._batch_round(sub, [qs[j] for j in rows],
-                                     threshold, tracker)
+    def _top_k_attempt(self, batch, k, sizes, min_threshold) -> list[list]:
+        """One whole ladder + fetch + rank under one epoch tracker."""
+        tracker: dict = {}
 
-        candidates = _ladder_candidates_batch(rung, n, k, min_threshold)
-        all_keys = {key for per_row in candidates for key in per_row}
-        pool, sizes = self._pool_fetch(list(all_keys), tracker)
-        return [self._rank(sb[j], qs[j], candidates[j], pool, sizes, k)
-                for j in range(n)]
+        def probe(sb, qs, threshold):
+            return self._batch_round(sb, qs, threshold, tracker)
+
+        def fetch(keys):
+            # A candidate the pool fetch cannot resolve means the
+            # cluster changed between the rung that surfaced it and the
+            # fetch — in strict mode an epoch inconsistency (restart);
+            # in partial mode its shard is down and the key is dropped
+            # with the rest of that shard's answers.
+            pool, pool_sizes = self._pool_fetch(keys, tracker)
+            missing = keys - pool.keys()
+            if missing and not self.partial:
+                raise _LadderRestart(repr(min(missing, key=str)), -1, -1)
+            return pool, pool_sizes
+
+        return top_k_batch(probe, fetch, batch, k, sizes, min_threshold)
 
     # -------------------------- write path -------------------------- #
 
@@ -596,7 +537,7 @@ class RouterIndex:
         present, the idempotent ack) and the highest post-write epoch —
         the consistency token the caller hands back to its client.
         """
-        entries = [(key, _as_lean(signature), int(size))
+        entries = [(key, as_lean(signature), int(size))
                    for key, signature, size in entries]
         groups: dict[str, list[int]] = {}
         for j, (key, _, _) in enumerate(entries):
@@ -796,105 +737,20 @@ class RouterIndex:
                 "unreachable": unreachable + post_unreachable}
 
 
-class _RouterExecutor(InProcessExecutor):
-    """The router behind the standard executor interface, so the
-    serving engine dispatches to it like any other backend."""
-
-    kind = "router"
-
-    # close() stays the no-op default deliberately: the router index
-    # is caller-owned (the CLI / test that built it also closes it), so
-    # a server shutting down must not tear down a topology the caller
-    # may keep querying in-process.
-
-    def signatures_for(self, keys):
-        return self._index.signatures_for(keys)
-
-    # Writes go through the router's own placement-routed, quorum-acked
-    # path (the index-backed default probes ``key in index``, which a
-    # router does not answer locally).
-
-    def insert_entries(self, entries, quorum=None):
-        return self._index.insert_entries(entries)
-
-    def remove_keys(self, keys, quorum=None):
-        return self._index.remove_keys(keys)
-
-
-class RouterEngine(ServingEngine):
-    """Serving-engine adapter for a :class:`RouterIndex`: introspection
-    comes from the cluster facts gathered at connect time (refreshed on
-    ``/stats``), not from walking a local index."""
-
-    def __init__(self, router: RouterIndex) -> None:
-        super().__init__(router, executor=_RouterExecutor(router))
-        self.router = router
-
-    @property
-    def executor_kind(self) -> str:
-        return "router"
-
-    @property
-    def num_perm(self) -> int:
-        return self.router.num_perm
-
-    @property
-    def kernel_name(self) -> str:
-        return self.router.kernel_name
-
-    @property
-    def bbit(self) -> int | None:
-        return self.router.bbit
-
-    def signature_seed(self) -> int:
-        return self.router.signature_seed
-
-    def describe(self) -> dict:
-        return {
-            "status": "degraded" if self.router.degraded_shards()
-            else "ok",
-            "index": "RouterIndex",
-            "keys": len(self.router),
-            "num_perm": self.num_perm,
-            "generation": self.generation,
-            "mutation_epoch": self.mutation_epoch,
-            "executor": "router",
-            "kernel": self.kernel_name,
-            "bbit": self.bbit,
-            "signature_seed": self.signature_seed(),
-            "shards": list(self.router.shard_names),
-            "degraded": self.router.degraded_shards(),
-        }
-
-    def stats(self) -> dict:
-        try:
-            self.router.refresh()
-        except ShardUnavailableError:
-            pass  # stats must stay observable while shards are down
-        return {
-            "index": "RouterIndex",
-            "keys": len(self.router),
-            "generation": self.generation,
-            "mutation_epoch": self.mutation_epoch,
-            "executor": "router",
-            "kernel": self.kernel_name,
-            "bbit": self.bbit,
-            "router": self.router.stats(),
-        }
-
-    def snapshot_bytes(self) -> bytes | None:
-        return None  # a router has no single index to snapshot
-
-
 class RouterServer(QueryServer):
     """:class:`~repro.serve.server.QueryServer` over a
-    :class:`RouterIndex`.
+    :class:`RouterIndex`: the same HTTP stack, two differences.
 
     The result cache defaults to **off**: the router only observes
     remote epochs when a fan-out happens to report them, so an
     epoch-keyed cache could serve entries at a stale label after a
     shard mutates.  Operators who accept bounded staleness can pass a
-    ``cache_size`` explicitly.
+    ``cache_size`` explicitly.  And query responses are re-labelled
+    after dispatch (see :meth:`_finalise_payload`).
+
+    The router stays caller-owned: the CLI / test that built it also
+    closes it, so a server shutting down never tears down a topology
+    the caller may keep querying in-process.
     """
 
     def __init__(self, router: RouterIndex, host: str = "127.0.0.1",
@@ -903,15 +759,14 @@ class RouterServer(QueryServer):
                  max_pending: int = 1024) -> None:
         super().__init__(router, host, port, max_batch=max_batch,
                          window_ms=window_ms, cache_size=cache_size,
-                         max_pending=max_pending,
-                         engine=RouterEngine(router))
+                         max_pending=max_pending)
 
     def _finalise_payload(self, payload: dict) -> dict:
         # Re-read the staleness floor *after* dispatch: the fan-out
         # just observed every shard's epoch, so the label reflects the
         # answers in this response, not the previous fan-out's.
         payload["mutation_epoch"] = self.engine.mutation_epoch
-        degraded = self.engine.index.degraded_shards()
+        degraded = self.engine.executor.degraded_shards()
         if degraded:
             payload["degraded"] = degraded
         return payload

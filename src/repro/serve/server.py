@@ -72,6 +72,7 @@ from repro.serve.coalescer import MicroBatchCoalescer, OverloadedError
 from repro.serve.engine import ServingEngine
 from repro.serve.executor import (
     EpochConsistencyError,
+    ProcPoolExecutor,
     ShardUnavailableError,
     WriteQuorumError,
 )
@@ -141,7 +142,9 @@ class QueryServer:
     ----------
     index:
         A built flat :class:`~repro.core.ensemble.LSHEnsemble` or
-        :class:`~repro.parallel.sharded.ShardedEnsemble`.
+        :class:`~repro.parallel.sharded.ShardedEnsemble` — or any
+        :class:`~repro.serve.executor.ShardExecutor` to serve through
+        as-is (it stays caller-owned: the server never closes it).
     host, port:
         Bind address; ``port=0`` picks a free port (read it back from
         :attr:`port` after :meth:`start`).
@@ -173,11 +176,6 @@ class QueryServer:
     mmap:
         Whether pool workers memory-map the base segment (default) or
         read it into memory (``executor="process"`` only).
-    engine:
-        A pre-built :class:`~repro.serve.engine.ServingEngine`
-        (subclass) to serve through, bypassing the ``executor``-based
-        construction — how :class:`~repro.serve.router.RouterServer`
-        reuses this whole HTTP stack over a cluster.
     shard_label:
         The shard this node serves, surfaced in ``/healthz`` so the
         router can verify placement and deployment agree.
@@ -189,30 +187,29 @@ class QueryServer:
                  executor: str = "thread", workers: int | None = None,
                  start_method: str | None = None,
                  source_path=None, mmap: bool = True,
-                 engine: ServingEngine | None = None,
                  shard_label: str | None = None) -> None:
-        if engine is None:
-            if executor not in ("thread", "process"):
-                raise ValueError(
-                    "executor must be 'thread' or 'process', got %r"
-                    % (executor,))
-            pooled = None
-            if executor == "process":
-                if hasattr(index, "shards"):
-                    if getattr(index, "executor", "thread") != "process":
-                        raise ValueError(
-                            "load the sharded cluster with "
-                            "executor='process' instead of wrapping it "
-                            "at the serving layer")
-                else:
-                    from repro.parallel.procpool import PooledIndex
+        if executor not in ("thread", "process"):
+            raise ValueError(
+                "executor must be 'thread' or 'process', got %r"
+                % (executor,))
+        # The one executor this server builds — and therefore owns and
+        # closes — is the worker pool around a flat index.
+        self._pool_executor: ProcPoolExecutor | None = None
+        if executor == "process":
+            if hasattr(index, "shards"):
+                if getattr(index, "executor", "thread") != "process":
+                    raise ValueError(
+                        "load the sharded cluster with "
+                        "executor='process' instead of wrapping it "
+                        "at the serving layer")
+            else:
+                from repro.parallel.procpool import PooledIndex
 
-                    pooled = PooledIndex(index, num_workers=workers,
-                                         start_method=start_method,
-                                         source_path=source_path,
-                                         mmap=mmap)
-            engine = ServingEngine(index, pooled=pooled)
-        self.engine = engine
+                self._pool_executor = ProcPoolExecutor(PooledIndex(
+                    index, num_workers=workers,
+                    start_method=start_method, source_path=source_path,
+                    mmap=mmap))
+        self.engine = ServingEngine(self._pool_executor or index)
         self.shard_label = shard_label
         self.cache = ResultCache(cache_size)
         self.coalescer = MicroBatchCoalescer(
@@ -220,9 +217,9 @@ class QueryServer:
             window_seconds=window_ms / 1000.0, max_pending=max_pending)
         self.host = host
         self.port = int(port)
+        facts = self.engine.describe()
         self._factory = SignatureFactory(
-            num_perm=self.engine.num_perm,
-            seed=self.engine.signature_seed())
+            num_perm=facts["num_perm"], seed=facts["signature_seed"])
         self._server: asyncio.base_events.Server | None = None
         self.requests_total = 0
         self.responses_by_status: dict[int, int] = {}
@@ -253,10 +250,8 @@ class QueryServer:
             self._server.close()
             await self._server.wait_closed()
         await self.coalescer.aclose()
-        # The server owns the executor it (or its engine ctor) built:
-        # a worker pool is shut down here; in-process executors are
-        # no-ops (the caller keeps its index).
-        self.engine.executor.close()
+        if self._pool_executor is not None:
+            self._pool_executor.close()
 
     # ------------------------------------------------------------------ #
     # HTTP plumbing
@@ -362,7 +357,7 @@ class QueryServer:
         0 and invites an immediate retry into the same full queue).
         """
         coalescer = self.coalescer
-        batches_left = math.ceil(coalescer._pending
+        batches_left = math.ceil(coalescer.pending
                                  / max(1, coalescer.max_batch))
         completed = coalescer.batches_total
         mean_batch = (coalescer.batch_seconds_total / completed
@@ -464,6 +459,46 @@ class QueryServer:
     # Query handling
     # ------------------------------------------------------------------ #
 
+    def _parse_item(self, item: dict, what: str) -> tuple[LeanMinHash, int]:
+        """One query / entry object as ``(signature, size)``: a raw
+        ``signature`` (+ ``seed``, optional ``size``) or a ``values``
+        set hashed server-side.  ``what`` names the item in errors."""
+        if "signature" in item:
+            signature = item["signature"]
+            if (not isinstance(signature, list)
+                    or len(signature) != self._factory.num_perm):
+                raise RequestError(
+                    "signature must be an array of %d hash values"
+                    % self._factory.num_perm)
+            try:
+                row = np.asarray(signature, dtype=np.uint64)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise RequestError("bad signature values: %s" % exc)
+            seed = item.get("seed", 1)
+            if not isinstance(seed, int) or isinstance(seed, bool):
+                raise RequestError("seed must be an integer")
+            lean = LeanMinHash(seed=seed, hashvalues=row)
+            size = item.get("size")
+            if size is None:
+                size = max(1, int(lean.count()))
+        elif "values" in item:
+            values = item["values"]
+            if not isinstance(values, list) or not values:
+                raise RequestError("values must be a non-empty array")
+            try:
+                distinct = set(values)
+            except TypeError:
+                raise RequestError(
+                    "values must be hashable (strings or numbers)")
+            lean = self._factory.lean(distinct)
+            size = len(distinct)
+        else:
+            raise RequestError(
+                "each %s needs a \"signature\" or \"values\" field" % what)
+        if not isinstance(size, int) or isinstance(size, bool) or size < 1:
+            raise RequestError("size must be an integer >= 1")
+        return lean, size
+
     def _parse_queries(self, data: dict) -> list[tuple[np.ndarray, int,
                                                        int]]:
         """Normalise the ``queries`` array to ``(row, seed, size)``."""
@@ -474,48 +509,12 @@ class QueryServer:
             raise RequestError(
                 "too many queries in one request (%d > %d)"
                 % (len(queries), MAX_QUERIES_PER_REQUEST))
-        num_perm = self.engine.num_perm
         parsed = []
         for item in queries:
             if not isinstance(item, dict):
                 raise RequestError("each query must be a JSON object")
-            if "signature" in item:
-                signature = item["signature"]
-                if (not isinstance(signature, list)
-                        or len(signature) != num_perm):
-                    raise RequestError(
-                        "signature must be an array of %d hash values"
-                        % num_perm)
-                try:
-                    row = np.asarray(signature, dtype=np.uint64)
-                except (TypeError, ValueError, OverflowError) as exc:
-                    raise RequestError("bad signature values: %s" % exc)
-                seed = item.get("seed", 1)
-                if not isinstance(seed, int) or isinstance(seed, bool):
-                    raise RequestError("seed must be an integer")
-                size = item.get("size")
-                if size is None:
-                    size = max(1, int(LeanMinHash(
-                        seed=seed, hashvalues=row).count()))
-            elif "values" in item:
-                values = item["values"]
-                if not isinstance(values, list) or not values:
-                    raise RequestError("values must be a non-empty array")
-                try:
-                    distinct = set(values)
-                except TypeError:
-                    raise RequestError(
-                        "values must be hashable (strings or numbers)")
-                lean = self._factory.lean(distinct)
-                row, seed, size = lean.hashvalues, lean.seed, len(distinct)
-            else:
-                raise RequestError(
-                    "each query needs a \"signature\" or \"values\" field")
-            if size is not None:
-                if not isinstance(size, int) or isinstance(size, bool) \
-                        or size < 1:
-                    raise RequestError("size must be an integer >= 1")
-            parsed.append((row, int(seed), int(size)))
+            lean, size = self._parse_item(item, "query")
+            parsed.append((lean.hashvalues, int(lean.seed), size))
         return parsed
 
     async def _answer(self, group_key_of, parsed) -> tuple[int, dict]:
@@ -592,7 +591,7 @@ class QueryServer:
         # Same pre-read rule as _answer: data fetched after the epoch
         # read can only be as-new-or-newer than the label.
         epoch = self.engine.mutation_epoch
-        pool, sizes = self.engine.signatures_for(wanted)
+        pool, sizes = self.engine.executor.signatures_for(wanted)
         found = [[key, int(signature.seed), int(sizes[key]),
                   [int(v) for v in signature.hashvalues]]
                  for key, signature in pool.items()]
@@ -618,7 +617,7 @@ class QueryServer:
     async def _handle_snapshot(self) -> tuple[int, dict | bytes]:
         loop = asyncio.get_running_loop()
         payload = await loop.run_in_executor(
-            None, self.engine.snapshot_bytes)
+            None, self.engine.executor.snapshot_bytes)
         if payload is None:
             return 404, {"error": "this topology has no snapshot"}
         return 200, payload
@@ -638,56 +637,20 @@ class QueryServer:
             raise RequestError(
                 "too many entries in one request (%d > %d)"
                 % (len(entries), MAX_QUERIES_PER_REQUEST))
-        num_perm = self.engine.num_perm
         parsed = []
         for item in entries:
             if not isinstance(item, dict) or "key" not in item:
                 raise RequestError(
                     "each entry must be an object with a \"key\" field")
-            key = restore_key(item["key"])
-            if "signature" in item:
-                signature = item["signature"]
-                if (not isinstance(signature, list)
-                        or len(signature) != num_perm):
-                    raise RequestError(
-                        "signature must be an array of %d hash values"
-                        % num_perm)
-                try:
-                    row = np.asarray(signature, dtype=np.uint64)
-                except (TypeError, ValueError, OverflowError) as exc:
-                    raise RequestError("bad signature values: %s" % exc)
-                seed = item.get("seed", 1)
-                if not isinstance(seed, int) or isinstance(seed, bool):
-                    raise RequestError("seed must be an integer")
-                if int(seed) != self._factory.seed:
-                    # Stored entries share one permutation seed; an
-                    # insert under a different seed would never compare
-                    # meaningfully against the rest of the corpus.
-                    raise RequestError(
-                        "signature seed %d does not match the index "
-                        "seed %d" % (seed, self._factory.seed))
-                lean = LeanMinHash(seed=int(seed), hashvalues=row)
-                size = item.get("size")
-                if size is None:
-                    size = max(1, int(lean.count()))
-            elif "values" in item:
-                values = item["values"]
-                if not isinstance(values, list) or not values:
-                    raise RequestError("values must be a non-empty array")
-                try:
-                    distinct = set(values)
-                except TypeError:
-                    raise RequestError(
-                        "values must be hashable (strings or numbers)")
-                lean = self._factory.lean(distinct)
-                size = len(distinct)
-            else:
+            lean, size = self._parse_item(item, "entry")
+            if lean.seed != self._factory.seed:
+                # Stored entries share one permutation seed; an insert
+                # under a different seed would never compare
+                # meaningfully against the rest of the corpus.
                 raise RequestError(
-                    "each entry needs a \"signature\" or \"values\" field")
-            if not isinstance(size, int) or isinstance(size, bool) \
-                    or size < 1:
-                raise RequestError("size must be an integer >= 1")
-            parsed.append((key, lean, int(size)))
+                    "signature seed %d does not match the index "
+                    "seed %d" % (lean.seed, self._factory.seed))
+            parsed.append((restore_key(item["key"]), lean, size))
         return parsed
 
     async def _handle_insert(self, body: bytes) -> tuple[int, dict]:
@@ -695,7 +658,7 @@ class QueryServer:
         parsed = self._parse_entries(data)
         loop = asyncio.get_running_loop()
         applied, epoch = await loop.run_in_executor(
-            None, self.engine.apply_inserts, parsed)
+            None, self.engine.executor.insert_entries, parsed)
         return 200, {"applied": [bool(flag) for flag in applied],
                      "mutation_epoch": int(epoch)}
 
@@ -713,7 +676,7 @@ class QueryServer:
         wanted = [restore_key(key) for key in keys]
         loop = asyncio.get_running_loop()
         removed, epoch = await loop.run_in_executor(
-            None, self.engine.apply_removes, wanted)
+            None, self.engine.executor.remove_keys, wanted)
         return 200, {"removed": [bool(flag) for flag in removed],
                      "mutation_epoch": int(epoch)}
 

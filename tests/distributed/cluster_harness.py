@@ -58,10 +58,10 @@ _PORT_LINE = re.compile(r"on http://[^:\s]+:(\d+)")
 # --------------------------------------------------------------------- #
 
 
-def make_index(entries):
+def make_index(entries, partitions=None):
     index = LSHEnsemble(num_perm=NUM_PERM, num_partitions=4,
                         threshold=0.5)
-    index.index(entries)
+    index.index(entries, partitions=partitions)
     return index
 
 

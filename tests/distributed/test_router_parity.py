@@ -7,6 +7,12 @@ same top-k order, same float scores (JSON round-trips floats exactly).
 Pinned across static topologies (2 and 3 shards), a dynamic topology
 (deltas + tombstones applied mid-test), and arbitrary query subsets
 via Hypothesis.
+
+**Precondition.**  Parity needs every shard built with the flat
+index's partition bounds.  The near-uniform corpus hides that (per-shard
+equi-depth bounds happen to tune alike); the power-law parametrisation
+of :class:`TestStaticParity` is where it bites, so there the shards are
+built with ``partitions=flat.partitions``.
 """
 
 from __future__ import annotations
@@ -19,7 +25,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.minhash.generator import SignatureFactory
+from repro.datagen.distributions import power_law_sizes
+from repro.minhash.generator import MinHashGenerator, SignatureFactory
 from repro.minhash.lean import LeanMinHash
 from repro.serve import start_in_thread
 from repro.serve.router import RouterServer
@@ -37,13 +44,44 @@ THRESHOLDS = (0.2, 0.5, 0.8)
 
 
 @pytest.fixture(scope="module")
+def shape(request):
+    """Size distribution of the corpus: ``"uniform"`` unless a class
+    parametrises it (indirectly)."""
+    return getattr(request, "param", "uniform")
+
+
+@pytest.fixture(scope="module")
+def corpus(shape, corpus):
+    if shape == "uniform":
+        return corpus
+    # alpha = 2 power law, sizes 10..2000, nested value windows (small
+    # domains sit inside the big ones, so containment hits are real).
+    sizes = power_law_sizes(60, alpha=2.0, min_size=10, max_size=2000,
+                            seed=5)
+    domains = {"d%d" % i: {"v%d" % j
+                           for j in range(2 * i, 2 * i + int(size))}
+               for i, size in enumerate(sizes)}
+    return domains, MinHashGenerator(num_perm=NUM_PERM).bulk(domains)
+
+
+@pytest.fixture(scope="module")
+def entries(corpus):
+    domains, batch = corpus
+    return [(key, batch[j], len(domains[key]))
+            for j, key in enumerate(batch.keys)]
+
+
+@pytest.fixture(scope="module")
 def flat(entries):
     return make_index(entries)
 
 
 @pytest.fixture(scope="module", params=[2, 3])
-def cluster(request, entries):
-    shards = [make_index(part)
+def cluster(request, entries, flat, shape):
+    # The near-uniform case keeps per-shard bounds (as deployed before
+    # the precondition was known); skewed sizes need the flat bounds.
+    partitions = flat.partitions if shape == "power-law" else None
+    shards = [make_index(part, partitions)
               for part in split_entries(entries, request.param)]
     with thread_cluster(shards) as handles:
         with router_over(handles) as router:
@@ -55,6 +93,7 @@ def _lean(corpus, row: int) -> LeanMinHash:
     return LeanMinHash(seed=batch.seed, hashvalues=batch.matrix[row])
 
 
+@pytest.mark.parametrize("shape", ["uniform", "power-law"], indirect=True)
 class TestStaticParity:
     @pytest.mark.parametrize("threshold", THRESHOLDS)
     def test_query_batch(self, cluster, flat, corpus, threshold):

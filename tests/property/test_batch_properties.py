@@ -56,6 +56,11 @@ def test_query_batch_equals_single_query_loop(domains, threshold):
     # A plain sequence of signatures must behave identically.
     assert index.query_batch(sigs, sizes=sizes,
                              threshold=threshold) == expected
+    # n = 1 sits on the other side of the one-row selection (a one-row
+    # batch takes the scalar probe); the batches above have >= 2 rows.
+    assert len(sigs) >= 2
+    assert index.query_batch(sigs[:1], sizes=sizes[:1],
+                             threshold=threshold) == expected[:1]
 
 
 @settings(max_examples=25, deadline=None)
@@ -67,6 +72,7 @@ def test_query_batch_estimated_sizes_equal_single(domains, threshold):
     batch = SignatureBatch.from_signatures(sigs)
     expected = [index.query(s, threshold=threshold) for s in sigs]
     assert index.query_batch(batch, threshold=threshold) == expected
+    assert index.query_batch(sigs[:1], threshold=threshold) == expected[:1]
 
 
 @settings(max_examples=15, deadline=None)
@@ -79,6 +85,8 @@ def test_query_top_k_batch_equals_single(domains, k):
     expected = [index.query_top_k(s, k, size=c)
                 for s, c in zip(sigs, sizes)]
     assert index.query_top_k_batch(batch, k, sizes=sizes) == expected
+    assert index.query_top_k_batch(sigs[:1], k,
+                                   sizes=sizes[:1]) == expected[:1]
 
 
 @settings(max_examples=15, deadline=None)
@@ -97,6 +105,9 @@ def test_sharded_query_batch_equals_single(domains, threshold):
                 for s, c in zip(sigs, sizes)]
     assert sharded.query_batch(batch, sizes=sizes,
                                threshold=threshold) == expected
+    assert len(sigs) >= 2
+    assert sharded.query_batch(sigs[:1], sizes=sizes[:1],
+                               threshold=threshold) == expected[:1]
 
 
 @settings(max_examples=25, deadline=None)

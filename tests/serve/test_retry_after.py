@@ -25,7 +25,7 @@ def _hint(pending, max_batch, batches_total, batch_seconds_total,
     ``self.coalescer``, so a bare instance suffices)."""
     server = QueryServer.__new__(QueryServer)
     server.coalescer = SimpleNamespace(
-        _pending=pending, max_batch=max_batch,
+        pending=pending, max_batch=max_batch,
         batches_total=batches_total,
         batch_seconds_total=batch_seconds_total,
         window_seconds=window_seconds)
