@@ -40,19 +40,6 @@ CORPUS_SEED = 42
 QUERY_SEED = 13
 
 
-def scaled_concurrency(per_core: int = 8, floor: int = 16,
-                       cap: int = 64) -> int:
-    """A client/thread count scaled to the machine running the suite.
-
-    Hard-coding 64 concurrent clients was tuned on 8-core laptops; on a
-    2-core CI runner the same number just measures scheduler thrash and
-    flakes the speedup assertions.  Scale with ``os.cpu_count()``, with
-    a floor (enough concurrency for coalescing to be observable) and a
-    cap (beyond it, more clients add noise, not signal).
-    """
-    return max(floor, min(cap, per_core * (os.cpu_count() or 1)))
-
-
 def write_report(name: str, text: str) -> Path:
     """Persist a paper-style report under ``benchmarks/results/``."""
     RESULTS_DIR.mkdir(parents=True, exist_ok=True)

@@ -45,7 +45,6 @@ from repro.minhash import (
 )
 from repro.parallel import PooledIndex, ProcPool, ShardedEnsemble
 from repro.core.partitioner import register_partitioner
-from repro.lsh.storage import register_storage_backend
 from repro.persistence import (
     FormatError,
     load_ensemble,
@@ -83,7 +82,6 @@ __all__ = [
     "load_ensemble",
     "read_header",
     "FormatError",
-    "register_storage_backend",
     "register_partitioner",
     "JoinDiscovery",
     "JoinCandidate",

@@ -16,7 +16,6 @@ from collections.abc import Hashable, Iterable
 from repro.asym.padding import pad_signature
 from repro.core.tuning import tune_params_quantized
 from repro.forest.prefix_forest import PrefixForest, default_forest_shape
-from repro.lsh.storage import DictHashTableStorage
 from repro.minhash.batch import as_lean
 from repro.minhash.lean import LeanMinHash
 from repro.minhash.minhash import MinHash
@@ -33,8 +32,7 @@ class AsymmetricMinHashLSH:
 
     def __init__(self, threshold: float = 0.8, num_perm: int = 256,
                  num_trees: int | None = None, max_depth: int | None = None,
-                 pad_seed: int = 7,
-                 storage_factory=DictHashTableStorage) -> None:
+                 pad_seed: int = 7) -> None:
         if not 0.0 <= threshold <= 1.0:
             raise ValueError("threshold must be in [0, 1]")
         if num_perm < 2:
@@ -48,7 +46,6 @@ class AsymmetricMinHashLSH:
         self.num_trees = int(num_trees)
         self.max_depth = int(max_depth)
         self.pad_seed = int(pad_seed)
-        self._storage_factory = storage_factory
         self._forest: PrefixForest | None = None
         self._sizes: dict[Hashable, int] = {}
         self._max_size = 0
@@ -71,8 +68,7 @@ class AsymmetricMinHashLSH:
             raise ValueError("all domain sizes must be >= 1")
         self._max_size = max(size for _, __, size in staged)
         self._forest = PrefixForest(self.num_perm, self.num_trees,
-                                    self.max_depth,
-                                    storage_factory=self._storage_factory)
+                                    self.max_depth)
         for key, lean, size in staged:
             if key in self._sizes:
                 raise ValueError("key %r is already in the index" % (key,))

@@ -5,7 +5,6 @@ Build, persist, mutate, and query LSH Ensemble indexes from the shell::
     # corpus.json: {"domain-name": ["value", ...], ...}
     python -m repro.cli build corpus.json index.lshe --partitions 16
     python -m repro.cli query index.lshe --values a b c --threshold 0.6
-    python -m repro.cli build corpus.json index.lshe --backend dict
     python -m repro.cli query index.lshe --query-file q.json --top-k 5
     python -m repro.cli query index.lshe --batch-file q.json --threshold 0.6
     python -m repro.cli insert index.lshe more.json
@@ -65,7 +64,6 @@ from pathlib import Path
 
 from repro.core.ensemble import LSHEnsemble
 from repro.kernels import list_kernels
-from repro.lsh.storage import list_storage_backends, resolve_storage_backend
 from repro.minhash.generator import MinHashGenerator, SignatureFactory
 from repro.persistence import (
     FormatError,
@@ -92,10 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--num-perm", type=int, default=256)
     p_build.add_argument("--threshold", type=float, default=0.8,
                          help="default containment threshold")
-    p_build.add_argument("--backend", default="dict",
-                         choices=list_storage_backends(),
-                         help="bucket storage backend (recorded in the "
-                              "index header and restored on load)")
     p_build.add_argument("--bbit", type=int, default=None,
                          choices=(8, 16),
                          help="pack band bucket keys to 8 or 16 bits "
@@ -376,7 +370,6 @@ def _cmd_build(args: argparse.Namespace) -> int:
     factory = SignatureFactory(num_perm=args.num_perm)
     index = LSHEnsemble(threshold=args.threshold, num_perm=args.num_perm,
                         num_partitions=args.partitions,
-                        storage_factory=resolve_storage_backend(args.backend),
                         kernel=args.kernel, bbit=args.bbit)
     t0 = time.perf_counter()
     index.index(
@@ -459,8 +452,7 @@ def _cmd_query(args: argparse.Namespace) -> int:
         from repro.parallel.procpool import PooledIndex
 
         # PooledIndex reuses the loaded snapshot / manifest base
-        # segment (index._base_source) automatically; only v1 loads
-        # spill a fresh v2 segment.
+        # segment (index._base_source) automatically.
         target = PooledIndex(index, num_workers=args.workers,
                              start_method=args.start_method,
                              mmap=not args.no_mmap)
@@ -875,20 +867,19 @@ def _cmd_info(args: argparse.Namespace) -> int:
     print("format:         v%d%s" % (
         header["version"],
         " (dynamic manifest)" if header["version"] >= 3
-        else " (zero-copy columnar)" if header["version"] >= 2
-        else " (legacy per-entry)"))
-    if header["version"] >= 2:
-        print("backend:        %s" % header.get("storage"))
-        print("partitioner:    %s" % header.get("partitioner"))
-        print("kernel:         %s%s"
-              % (header.get("kernel") or "(unrecorded)",
-                 ", bbit %d band keys" % header["bbit"]
-                 if header.get("bbit") else ""))
+        else " (zero-copy columnar)"))
+    print("backend:        %s" % header.get("storage"))
+    print("partitioner:    %s" % header.get("partitioner"))
+    print("kernel:         %s%s"
+          % (header.get("kernel") or "(unrecorded)",
+             ", bbit %d band keys" % header["bbit"]
+             if header.get("bbit") else ""))
     try:
         index = load_ensemble(args.index)
     except FormatError as exc:
         # Header metadata stays inspectable even when the index needs a
-        # load-time factory override (unregistered backend/partitioner).
+        # load-time override (unregistered partitioner) or names a
+        # storage backend this build does not have.
         print("(not loadable without overrides: %s)" % exc)
         return 1
     sizes = sorted(index.size_of(k) for k in index.keys())
@@ -937,7 +928,21 @@ def main(argv: list[str] | None = None) -> int:
         "loadtest": _cmd_loadtest,
         "lint": _cmd_lint,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except (OSError, FormatError) as exc:
+        # A missing or malformed corpus, query file or index is the
+        # user's input, not a crash: one line instead of a traceback.
+        # OSErrors that name no file (socket binds, closed pipes) are
+        # not input errors and propagate.
+        if isinstance(exc, FormatError):
+            path, reason = args.index, exc
+        elif exc.filename is not None:
+            path, reason = exc.filename, exc.strerror
+        else:
+            raise
+        print("error: %s: %s" % (path, reason), file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -73,7 +73,6 @@ from repro.core.tuning import (
 )
 from repro.forest.prefix_forest import PrefixForest, default_forest_shape
 from repro.kernels import get_kernel, validate_bbit
-from repro.lsh.storage import DictHashTableStorage
 from repro.minhash.batch import as_lean
 from repro.minhash.lean import LeanMinHash
 from repro.minhash.minhash import MinHash
@@ -139,8 +138,6 @@ class LSHEnsemble(QuerySurface):
         defaults to equi-depth (Theorem 2).  Pass
         :func:`~repro.core.partitioner.optimal_partitions` for non-power-law
         data, or a custom callable.
-    storage_factory:
-        Bucket backend for the underlying forests.
     kernel:
         Hot-loop backend name or :class:`~repro.kernels.Kernel`
         instance for every forest of the ensemble (band hashing,
@@ -171,7 +168,6 @@ class LSHEnsemble(QuerySurface):
                  num_partitions: int = 8,
                  num_trees: int | None = None, max_depth: int | None = None,
                  partitioner=equi_depth_partitions,
-                 storage_factory=DictHashTableStorage,
                  kernel=None, bbit=None,
                  auto_rebalance_at: float | None = None) -> None:
         if not 0.0 <= threshold <= 1.0:
@@ -200,7 +196,6 @@ class LSHEnsemble(QuerySurface):
         self.num_trees = int(num_trees)
         self.max_depth = int(max_depth)
         self._partitioner = partitioner
-        self._storage_factory = storage_factory
         self._kernel = get_kernel(kernel)
         self.bbit = validate_bbit(bbit)
         self._partitions: list[Partition] = []
@@ -308,12 +303,7 @@ class LSHEnsemble(QuerySurface):
                         raise ValueError(
                             "key %r is already in the index" % (key,))
                     seen.add(key)
-            self._forests = [
-                PrefixForest(self.num_perm, self.num_trees, self.max_depth,
-                             storage_factory=self._storage_factory,
-                             kernel=self._kernel, bbit=self.bbit)
-                for _ in self._partitions
-            ]
+            self._forests = self._empty_forests()
             self._partition_max_size = [0] * len(self._partitions)
             self._bulk_fill_locked(keys, sizes, matrix, seeds)
             # A fresh build is served immediately: pay the bucket fill
@@ -334,6 +324,13 @@ class LSHEnsemble(QuerySurface):
             forest.materialize()
         if self._delta is not None:
             self._delta.materialize()
+
+    def _empty_forests(self) -> list[PrefixForest]:
+        """One empty forest per current partition (build, columnar
+        restore and rebalance all start from this)."""
+        return [PrefixForest(self.num_perm, self.num_trees, self.max_depth,
+                             kernel=self._kernel, bbit=self.bbit)
+                for _ in self._partitions]
 
     def _assign_partitions(self, clamped: np.ndarray) -> np.ndarray:
         """Partition index per (already clamped) size, vectorised."""
@@ -452,12 +449,7 @@ class LSHEnsemble(QuerySurface):
         if len(set(keys)) != len(keys):
             raise ValueError("duplicate keys in snapshot")
         self._partitions = list(partitions)
-        self._forests = [
-            PrefixForest(self.num_perm, self.num_trees, self.max_depth,
-                         storage_factory=self._storage_factory,
-                         kernel=self._kernel, bbit=self.bbit)
-            for _ in self._partitions
-        ]
+        self._forests = self._empty_forests()
         self._partition_max_size = [int(m) for m in partition_max_size]
         scalar_seeds = np.ndim(seeds) == 0
         off = 0
@@ -517,7 +509,6 @@ class LSHEnsemble(QuerySurface):
             num_partitions=min(4, self.num_partitions),
             num_trees=self.num_trees, max_depth=self.max_depth,
             partitioner=self._partitioner,
-            storage_factory=self._storage_factory,
             kernel=self._kernel, bbit=self.bbit)
 
     def _route_index(self, size: int) -> int:
@@ -762,12 +753,7 @@ class LSHEnsemble(QuerySurface):
             self.num_partitions = int(num_partitions)
         partitions = self._partitioner(sizes, self.num_partitions)
         self._partitions = list(partitions)
-        self._forests = [
-            PrefixForest(self.num_perm, self.num_trees, self.max_depth,
-                         storage_factory=self._storage_factory,
-                         kernel=self._kernel, bbit=self.bbit)
-            for _ in self._partitions
-        ]
+        self._forests = self._empty_forests()
         self._partition_max_size = [0] * len(self._partitions)
         self._live_max_dirty = False
         self._sizes = {}

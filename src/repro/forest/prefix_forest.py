@@ -63,8 +63,6 @@ class PrefixForest:
         Upper bound ``B`` on the per-query band count ``b``.
     max_depth:
         Upper bound ``K`` on the per-query rows-per-band ``r``.
-    storage_factory:
-        Bucket backend, shared with :mod:`repro.lsh.storage`.
     kernel:
         Hot-loop backend (a registered name or
         :class:`~repro.kernels.Kernel` instance); defaults to the
@@ -79,7 +77,6 @@ class PrefixForest:
 
     def __init__(self, num_perm: int = 256, num_trees: int | None = None,
                  max_depth: int | None = None,
-                 storage_factory=DictHashTableStorage,
                  kernel=None, bbit=None) -> None:
         if num_perm < 2:
             raise ValueError("num_perm must be at least 2")
@@ -106,16 +103,10 @@ class PrefixForest:
         # _tables[tree][depth-1] maps the length-`depth` prefix of the
         # tree's band to the set of keys stored under it.
         self._tables = [
-            [storage_factory() for _ in range(self.max_depth)]
+            [DictHashTableStorage(self._kernel)
+             for _ in range(self.max_depth)]
             for _ in range(self.num_trees)
         ]
-        for tables in self._tables:
-            for table in tables:
-                # getattr: duck-typed backends predating the kernel
-                # layer keep working (they just use the process default)
-                adopt = getattr(table, "set_kernel", None)
-                if adopt is not None:
-                    adopt(self._kernel)
         self._keys: dict[Hashable, LeanMinHash] = {}
         # Bulk-inserted signature blocks whose bucket tables have not
         # been filled at every depth yet.  Each entry is
@@ -126,9 +117,8 @@ class PrefixForest:
         self._pending: list[list] = []
         # Batch-probe index, per query depth r: sorted salted key hashes
         # covering every tree's depth-r table, with aligned bucket views.
-        # Lazily built, dropped on any mutation.  None caches "backend
-        # cannot vectorise" (e.g. keys() unsupported).
-        self._probe_cache: dict[int, tuple | None] = {}
+        # Lazily built, dropped on any mutation.
+        self._probe_cache: dict[int, ProbeIndex] = {}
         self._tree_salts = (
             np.uint64(0x9E3779B97F4A7C15)
             * np.arange(1, self.num_trees + 1, dtype=np.uint64)
@@ -172,9 +162,9 @@ class PrefixForest:
         :class:`~repro.minhash.batch.SignatureBatch`, a plain matrix, or
         a sequence of signatures), each tree's band bucket keys for the
         whole block are packed with one ``tobytes`` pass, and the bucket
-        tables are filled through the storage backend's
-        :meth:`~repro.lsh.storage.HashTableStorage.insert_packed` bulk
-        path.
+        tables are filled through their
+        :meth:`~repro.lsh.storage.DictHashTableStorage.insert_packed`
+        bulk path.
 
         Table fill is *lazy per depth*: the signatures are immediately
         visible (``__contains__`` / ``get_signature`` / ``remove``), but
@@ -338,50 +328,49 @@ class PrefixForest:
         kernel = self._kernel
         if kernel.vectorized and n * b >= _MIN_VECTOR_PROBES:
             index = self._probe_index(r)
-            if index is not None:
-                if not index.hashes.size:
-                    return  # no stored prefixes at this depth
-                K = self.max_depth
-                lanes = matrix[:, :b * K].reshape(n, b, K)[:, :, :r]
-                if self.bbit is not None:
-                    # Truncate to the packed lanes, widened back to
-                    # uint64 so probe hashing matches the stored keys'.
-                    lanes = lanes.astype(self._band_dtype).astype(
-                        np.uint64)
-                probes = kernel.band_hash(lanes,
-                                          self._tree_salts[:b]).ravel()
-                pos, hits = kernel.probe_hits(index, probes)
-                if not hits.size:
-                    return
-                hit_rows = hits // b
-                hit_trees = hits - hit_rows * b
-                hit_pos = pos[hits]
-                # Exact verification, still vectorised: a hash match only
-                # counts when the stored entry's tree and prefix lanes
-                # equal the probe's (64-bit collisions are dropped here).
-                verified = (index.tree_ids[hit_pos] == hit_trees) & (
-                    index.prefix_lanes[hit_pos]
-                    == lanes[hit_rows, hit_trees, :]).all(axis=1)
-                ver = np.nonzero(verified)[0]
-                kernel.merge(results, rows, hit_rows[ver], hit_pos[ver],
-                             index)
-                if index.ambiguous and ver.size != hits.size:
-                    # A failed lane check can also mean the probe matched
-                    # the second entry of a stored-duplicate hash run
-                    # (searchsorted lands on the first): re-check those
-                    # probes against the real tables.
-                    for i in np.nonzero(~verified)[0].tolist():
-                        if int(probes[hits[i]]) not in index.ambiguous:
-                            continue
-                        j = int(hit_rows[i])
-                        start = int(hit_trees[i]) * K
-                        bucket = self._tables[int(hit_trees[i])][
-                            r - 1].get_view(
-                            pack_row(matrix[j], start, start + r,
-                                     self._band_dtype))
-                        if bucket:
-                            results[rows[j]] |= bucket
+            if not index.hashes.size:
+                return  # no stored prefixes at this depth
+            K = self.max_depth
+            lanes = matrix[:, :b * K].reshape(n, b, K)[:, :, :r]
+            if self.bbit is not None:
+                # Truncate to the packed lanes, widened back to
+                # uint64 so probe hashing matches the stored keys'.
+                lanes = lanes.astype(self._band_dtype).astype(
+                    np.uint64)
+            probes = kernel.band_hash(lanes,
+                                      self._tree_salts[:b]).ravel()
+            pos, hits = kernel.probe_hits(index, probes)
+            if not hits.size:
                 return
+            hit_rows = hits // b
+            hit_trees = hits - hit_rows * b
+            hit_pos = pos[hits]
+            # Exact verification, still vectorised: a hash match only
+            # counts when the stored entry's tree and prefix lanes
+            # equal the probe's (64-bit collisions are dropped here).
+            verified = (index.tree_ids[hit_pos] == hit_trees) & (
+                index.prefix_lanes[hit_pos]
+                == lanes[hit_rows, hit_trees, :]).all(axis=1)
+            ver = np.nonzero(verified)[0]
+            kernel.merge(results, rows, hit_rows[ver], hit_pos[ver],
+                         index)
+            if index.ambiguous and ver.size != hits.size:
+                # A failed lane check can also mean the probe matched
+                # the second entry of a stored-duplicate hash run
+                # (searchsorted lands on the first): re-check those
+                # probes against the real tables.
+                for i in np.nonzero(~verified)[0].tolist():
+                    if int(probes[hits[i]]) not in index.ambiguous:
+                        continue
+                    j = int(hit_rows[i])
+                    start = int(hit_trees[i]) * K
+                    bucket = self._tables[int(hit_trees[i])][
+                        r - 1].get_view(
+                        pack_row(matrix[j], start, start + r,
+                                 self._band_dtype))
+                    if bucket:
+                        results[rows[j]] |= bucket
+            return
         stride = r * self._item
         for tree in range(b):
             start = tree * self.max_depth
@@ -389,8 +378,8 @@ class PrefixForest:
             self._tables[tree][r - 1].merge_packed(buf, stride, results,
                                                    rows)
 
-    def _probe_index(self, r: int) -> ProbeIndex | None:
-        """The depth-``r`` :class:`~repro.kernels.ProbeIndex`, or None.
+    def _probe_index(self, r: int) -> ProbeIndex:
+        """The depth-``r`` :class:`~repro.kernels.ProbeIndex`.
 
         Holds the salted hash of every stored depth-``r`` prefix across
         all trees, sorted, with per-key verification lanes and the live
@@ -400,9 +389,7 @@ class PrefixForest:
         hash values shared by more than one (tree, prefix) — normally
         empty; probes whose lane check fails there are re-verified
         against the real tables, so results stay bit-exact despite
-        64-bit collisions.  None caches "this backend cannot vectorise"
-        (``keys()`` unsupported); the caller then falls back to
-        per-tree loops.
+        64-bit collisions.
         """
         if r in self._probe_cache:
             return self._probe_cache[r]
@@ -411,25 +398,21 @@ class PrefixForest:
         lane_parts: list[np.ndarray] = []
         tree_parts: list[np.ndarray] = []
         views: list = []
-        try:
-            for tree in range(self.num_trees):
-                table = self._tables[tree][r - 1]
-                keys = list(table.keys())
-                if not keys:
-                    continue
-                lanes = np.frombuffer(b"".join(keys),
-                                      dtype=self._band_dtype).reshape(
-                                          len(keys), r)
-                if self.bbit is not None:
-                    lanes = lanes.astype(np.uint64)
-                parts.append(kernel.band_hash(lanes,
-                                              self._tree_salts[tree]))
-                lane_parts.append(lanes)
-                tree_parts.append(np.full(len(keys), tree, dtype=np.intp))
-                views.extend(table.get_view(k) for k in keys)
-        except NotImplementedError:
-            self._probe_cache[r] = None
-            return None
+        for tree in range(self.num_trees):
+            table = self._tables[tree][r - 1]
+            keys = list(table.keys())
+            if not keys:
+                continue
+            lanes = np.frombuffer(b"".join(keys),
+                                  dtype=self._band_dtype).reshape(
+                                      len(keys), r)
+            if self.bbit is not None:
+                lanes = lanes.astype(np.uint64)
+            parts.append(kernel.band_hash(lanes,
+                                          self._tree_salts[tree]))
+            lane_parts.append(lanes)
+            tree_parts.append(np.full(len(keys), tree, dtype=np.intp))
+            views.extend(table.get_view(k) for k in keys)
         if not parts:
             index = ProbeIndex(np.empty(0, dtype=np.uint64),
                                np.empty(0, dtype=np.intp),

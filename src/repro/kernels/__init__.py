@@ -2,8 +2,7 @@
 
 Every LSH query in this repo bottoms out in three loops (see
 :mod:`repro.kernels.base`); this package routes them through selectable
-backends registered by name, mirroring the storage-backend and
-partitioner registries:
+backends registered by name, mirroring the partitioner registry:
 
 ========  ===========================================================
 name      implementation
@@ -12,8 +11,6 @@ python    pure-Python reference loops (always available, bit-exact
           ground truth for the property suite)
 numpy     batch-vectorised FNV hashing, open-addressing hash-table
           probe, columnar merge — the default
-numba     ``@njit(cache=True)`` compiled hash + probe; registered only
-          when numba imports, never a hard dependency
 ========  ===========================================================
 
 Selection precedence (first match wins):
@@ -63,7 +60,7 @@ def register_kernel(name: str, factory) -> None:
 
     Re-registering a name with a different factory raises — snapshot
     headers reference kernels by name, so names must stay unambiguous
-    within a process (same contract as the storage-backend registry).
+    within a process (same contract as the partitioner registry).
     """
     existing = _KERNELS.get(name)
     if existing is not None and existing is not factory:
@@ -128,8 +125,9 @@ def kernel_for_header(name: str | None,
     (how pool workers adopt the parent's choice), then the default.
     Unlike :func:`get_kernel`, an unknown or unregistered header name
     falls back to the default instead of raising: backends are
-    bit-identical, so a snapshot built with an unavailable kernel (e.g.
-    numba on a box without it) must still load and answer correctly.
+    bit-identical, so a snapshot built with an unavailable kernel (old
+    headers can name the retired ``numba`` backend) must still load and
+    answer correctly.
     """
     if override is not None:
         return get_kernel(override)
@@ -145,10 +143,3 @@ def kernel_for_header(name: str | None,
 
 register_kernel("python", PythonKernel)
 register_kernel("numpy", NumpyKernel)
-
-try:  # numba is optional; the backend self-registers only if importable
-    from repro.kernels.numba_impl import NumbaKernel
-except ImportError:
-    NumbaKernel = None
-else:
-    register_kernel("numba", NumbaKernel)

@@ -13,11 +13,12 @@ to three loops, and only three:
 
 A :class:`Kernel` bundles one implementation of each.  The ``python``
 backend keeps the plain dict/loop code as the bit-exact reference; the
-``numpy`` backend is the vectorised production path; ``numba`` (when
-importable) compiles the hash and probe loops.  Backends are registered
-by name (see :mod:`repro.kernels`) exactly like storage backends and
-partitioners, and the chosen name is recorded in snapshot headers so
-process-pool workers and loaded indexes adopt the builder's choice.
+``numpy`` backend is the vectorised production path.  Backends are
+registered by name (see :mod:`repro.kernels`) exactly like partitioners
+— a compiled backend would plug in through
+:func:`repro.kernels.register_kernel` — and the chosen name is recorded
+in snapshot headers so process-pool workers and loaded indexes adopt
+the builder's choice.
 
 Every backend must be *bit-identical* to ``python`` — the property suite
 (`tests/kernels/`) enforces it — so selection is purely a performance

@@ -17,7 +17,6 @@ from repro.loadgen.profile import (
     TrafficProfile,
     mixed_mutating,
     read_heavy,
-    router_mutating,
 )
 from repro.loadgen.report import build_report, format_report
 from repro.loadgen.runner import run_against_index, run_load
@@ -28,7 +27,6 @@ __all__ = [
     "TrafficProfile",
     "read_heavy",
     "mixed_mutating",
-    "router_mutating",
     "ScheduledOp",
     "build_schedule",
     "run_load",

@@ -13,8 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-__all__ = ["RampStage", "TrafficProfile", "read_heavy", "mixed_mutating",
-           "router_mutating"]
+__all__ = ["RampStage", "TrafficProfile", "read_heavy", "mixed_mutating"]
 
 
 @dataclass(frozen=True)
@@ -162,27 +161,3 @@ def mixed_mutating(rps: float = 120.0, seconds: float = 12.0,
         seed=seed,
     )
 
-
-def router_mutating(rps: float = 100.0, seconds: float = 12.0,
-                    mutation_rps: float = 10.0,
-                    seed: int = 99) -> TrafficProfile:
-    """Reads plus an insert/remove stream shaped for the router tier.
-
-    Same staircase and churn mix as :func:`mixed_mutating`, but with
-    rebalances disabled: compaction is a node-local operation the
-    router cannot route, so a run driven through ``/insert`` and
-    ``/remove`` (``run_load(..., mutations="http")``) would have to
-    skip every rebalance event anyway — better that the schedule never
-    offers them and runs stay comparable.
-    """
-    return TrafficProfile(
-        name="router_mutating",
-        stages=(
-            RampStage("warm", rps * 0.25, seconds * 0.25),
-            RampStage("churn", rps * 0.75, seconds * 0.375),
-            RampStage("peak", rps, seconds * 0.375),
-        ),
-        top_k_fraction=0.25,
-        mutation_rps=mutation_rps,
-        seed=seed,
-    )

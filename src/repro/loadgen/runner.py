@@ -120,64 +120,6 @@ class _Mutator:
         raise ValueError("unknown mutation kind %r" % (op.kind,))
 
 
-class _HTTPMutator:
-    """Applies the mutation stream over HTTP — the router's ``/insert``
-    and ``/remove`` endpoints — instead of mutating a local index.
-
-    Same key/value derivation as :class:`_Mutator` (schedules replay
-    identically either way); an event only counts as applied once the
-    server acked it, so the ``_inserted`` deque tracks exactly the keys
-    the cluster accepted.  Rebalance events are skipped and counted:
-    compaction is node-local and cannot be routed.
-    """
-
-    def __init__(self, pool_index, profile: TrafficProfile,
-                 prefix: str, connections: "_ConnectionPool") -> None:
-        self._factory = SignatureFactory(
-            num_perm=_flat_indexes(pool_index)[0].num_perm,
-            seed=_signature_seed(pool_index))
-        self._prefix = prefix
-        self._connections = connections
-        self._inserted: deque = deque()
-        self.skipped_removes = 0
-        self.skipped_rebalances = 0
-
-    def apply(self, op: ScheduledOp) -> bool:
-        if op.kind == "insert":
-            key = "%s:%d" % (self._prefix, op.arg)
-            size = 10 + (op.arg * 7) % 90
-            values = {"%s:%d:%d" % (self._prefix, op.arg, v)
-                      for v in range(size)}
-            lean = self._factory.lean(values)
-            status, payload = self._connections.post("/insert", json.dumps(
-                {"entries": [{"key": key,
-                              "signature": [int(v)
-                                            for v in lean.hashvalues],
-                              "seed": int(lean.seed),
-                              "size": size}]}))
-            if status != 200 or not all(payload.get("applied") or [False]):
-                raise RuntimeError("insert %r not acked: %s %s"
-                                   % (key, status, payload))
-            self._inserted.append(key)
-            return True
-        if op.kind == "remove":
-            if not self._inserted:
-                self.skipped_removes += 1
-                return False
-            key = self._inserted[0]  # pop only once the server acked
-            status, payload = self._connections.post(
-                "/remove", json.dumps({"keys": [key]}))
-            if status != 200 or not all(payload.get("removed") or [False]):
-                raise RuntimeError("remove %r not acked: %s %s"
-                                   % (key, status, payload))
-            self._inserted.popleft()
-            return True
-        if op.kind == "rebalance":
-            self.skipped_rebalances += 1
-            return False
-        raise ValueError("unknown mutation kind %r" % (op.kind,))
-
-
 class _ConnectionPool:
     """Persistent keep-alive HTTP connections handed out per request."""
 
@@ -230,48 +172,23 @@ def run_load(index, profile: TrafficProfile, *, port: int,
              concurrency: int | None = None,
              mutation_prefix: str = "loadgen",
              executor_label: str = "thread",
-             stats_fn: Callable[[], dict] | None = None,
-             pool_index=None,
-             mutations: str = "inprocess") -> dict:
+             stats_fn: Callable[[], dict] | None = None) -> dict:
     """Replay ``profile`` against the server on ``host:port``.
 
     ``index`` must be the object the server serves (mutations apply to
     it directly).  ``server`` (a :class:`~repro.serve.server.QueryServer`)
     enables the post-run drain check and counter snapshot without
     perturbing the HTTP counters; ``stats_fn`` overrides where the
-    snapshot comes from.  ``pool_index`` supplies the signatures the
-    query pool is sampled from (and receives mutations) when ``index``
-    itself holds none locally — a
-    :class:`~repro.serve.router.RouterIndex` fronting remote shard
-    nodes serves keys it cannot enumerate, so router runs pass the
-    backing corpus index here.  ``mutations`` picks where the write
-    stream lands: ``"inprocess"`` mutates ``pool_index`` directly (the
-    single-server default), ``"http"`` posts each event to the served
-    ``/insert`` / ``/remove`` endpoints — the router's quorum write
-    path.  Returns the JSON-ready report dict.
+    snapshot comes from.  Returns the JSON-ready report dict.
     """
-    if mutations not in ("inprocess", "http"):
-        raise ValueError("mutations must be 'inprocess' or 'http', "
-                         "not %r" % (mutations,))
     if schedule is None:
         schedule = build_schedule(profile)
     if concurrency is None:
         import os
         concurrency = max(8, min(64, 4 * (os.cpu_count() or 1)))
-    if pool_index is None:
-        pool_index = index
-    bodies = build_query_pool(pool_index, profile)
+    bodies = build_query_pool(index, profile)
     connections = _ConnectionPool(host, port, concurrency)
-    # Read-only schedules (router read runs: remote nodes own their
-    # indexes) never build a mutator, which needs local signatures.
-    mutator = None
-    if any(op.kind in ("insert", "remove", "rebalance")
-           for op in schedule):
-        if mutations == "http":
-            mutator = _HTTPMutator(pool_index, profile, mutation_prefix,
-                                   connections)
-        else:
-            mutator = _Mutator(pool_index, profile, mutation_prefix)
+    mutator = _Mutator(index, profile, mutation_prefix)
     records: list[RequestRecord] = []
     records_lock = threading.Lock()
     epoch_before = int(index.mutation_epoch)
@@ -345,15 +262,11 @@ def run_load(index, profile: TrafficProfile, *, port: int,
         server_stats = server._stats_payload()
     else:
         server_stats = _http_stats(host, port)
-    report = build_report(
+    return build_report(
         profile, records, executor=executor_label,
         duration_seconds=duration, server_stats=server_stats,
         epoch_delta=int(index.mutation_epoch) - epoch_before,
-        skipped_removes=mutator.skipped_removes if mutator else 0)
-    skipped_rebalances = getattr(mutator, "skipped_rebalances", 0)
-    if skipped_rebalances:
-        report["skipped_rebalances"] = int(skipped_rebalances)
-    return report
+        skipped_removes=mutator.skipped_removes)
 
 
 def _drain(server, timeout: float = 10.0) -> None:
@@ -384,10 +297,10 @@ def run_against_index(index, profile: TrafficProfile, *,
                       mmap: bool = True) -> dict:
     """Stand a server up over ``index``, run ``profile``, tear down.
 
-    The convenience entry the CLI ``loadtest`` subcommand and
-    ``benchmarks/bench_slo.py`` share.  A sharded cluster must already
-    carry its own executor (see :class:`~repro.serve.server.QueryServer`);
-    flat indexes are wrapped per ``executor`` here.
+    The convenience entry behind the CLI ``loadtest`` subcommand.  A
+    sharded cluster must already carry its own executor (see
+    :class:`~repro.serve.server.QueryServer`); flat indexes are wrapped
+    per ``executor`` here.
     """
     from repro.serve import start_in_thread
 

@@ -8,15 +8,7 @@ from repro.lsh.params import (
     optimal_params,
     threshold_for_params,
 )
-from repro.lsh.storage import (
-    BandedStorage,
-    DictHashTableStorage,
-    HashTableStorage,
-    list_storage_backends,
-    register_storage_backend,
-    resolve_storage_backend,
-    storage_backend_name,
-)
+from repro.lsh.storage import DictHashTableStorage
 
 __all__ = [
     "MinHashLSH",
@@ -25,11 +17,5 @@ __all__ = [
     "false_positive_weight",
     "false_negative_weight",
     "threshold_for_params",
-    "HashTableStorage",
     "DictHashTableStorage",
-    "BandedStorage",
-    "register_storage_backend",
-    "resolve_storage_backend",
-    "storage_backend_name",
-    "list_storage_backends",
 ]

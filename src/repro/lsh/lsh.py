@@ -18,7 +18,7 @@ from collections.abc import Hashable, Sequence
 from repro.kernels import band_dtype, get_kernel, pack_block, pack_row, \
     validate_bbit
 from repro.lsh.params import optimal_params
-from repro.lsh.storage import BandedStorage, DictHashTableStorage
+from repro.lsh.storage import DictHashTableStorage
 from repro.minhash.batch import (as_lean, as_signature_matrix,
                                  prepare_bulk_insert)
 from repro.minhash.lean import LeanMinHash
@@ -40,8 +40,6 @@ class MinHashLSH:
         Optional explicit ``(b, r)``; overrides threshold-based tuning.
     fp_weight, fn_weight:
         Penalty weights handed to the tuner (ignored when ``params`` given).
-    storage_factory:
-        Bucket backend constructor, by default in-memory dicts.
     kernel:
         Hot-loop backend name or instance (see :mod:`repro.kernels`);
         defaults to the process selection (``REPRO_KERNEL``, then
@@ -54,7 +52,6 @@ class MinHashLSH:
     def __init__(self, threshold: float = 0.9, num_perm: int = 256,
                  params: tuple[int, int] | None = None,
                  fp_weight: float = 0.5, fn_weight: float = 0.5,
-                 storage_factory=DictHashTableStorage,
                  kernel=None, bbit=None) -> None:
         if num_perm < 2:
             raise ValueError("num_perm must be at least 2")
@@ -62,6 +59,8 @@ class MinHashLSH:
         self.threshold = float(threshold)
         if params is not None:
             b, r = params
+            if b <= 0:
+                raise ValueError("b must be positive, got %d" % b)
             if b * r > num_perm:
                 raise ValueError(
                     "b * r = %d exceeds num_perm = %d" % (b * r, num_perm)
@@ -74,8 +73,9 @@ class MinHashLSH:
         self._kernel = get_kernel(kernel)
         self.bbit = validate_bbit(bbit)
         self._band_dtype = band_dtype(self.bbit)
-        self._storage = BandedStorage(self.b, storage_factory,
-                                      kernel=self._kernel)
+        # One hash table per band, b tables total.
+        self._tables = [DictHashTableStorage(self._kernel)
+                        for _ in range(self.b)]
         self._keys: dict[Hashable, LeanMinHash] = {}
 
     @property
@@ -105,7 +105,7 @@ class MinHashLSH:
         for i in range(self.b):
             band = pack_row(lean.hashvalues, i * self.r, (i + 1) * self.r,
                             self._band_dtype)
-            self._storage.insert(i, band, key)
+            self._tables[i].insert(band, key)
 
     def insert_batch(self, keys: Sequence[Hashable], batch,
                      seeds=None) -> None:
@@ -113,9 +113,9 @@ class MinHashLSH:
 
         Equivalent to ``for key, sig in zip(keys, batch): insert(key,
         sig)``: per band, the bucket keys of the whole block are packed
-        with one ``tobytes`` pass and filed through the storage
-        backend's bulk
-        :meth:`~repro.lsh.storage.HashTableStorage.insert_packed` path.
+        with one ``tobytes`` pass and filed through the table's bulk
+        :meth:`~repro.lsh.storage.DictHashTableStorage.insert_packed`
+        path.
         ``seeds`` is a scalar or per-row sequence, defaulting to the
         batch's seed for a :class:`SignatureBatch` and to 1 otherwise.
         When the matrix is read-only the stored signatures alias its
@@ -130,7 +130,7 @@ class MinHashLSH:
         for i in range(self.b):
             buf = pack_block(matrix, i * self.r, (i + 1) * self.r,
                              self._band_dtype)
-            self._storage.tables[i].insert_packed(buf, stride, keys)
+            self._tables[i].insert_packed(buf, stride, keys)
 
     def remove(self, key: Hashable) -> None:
         """Remove a key and all its bucket entries."""
@@ -140,7 +140,7 @@ class MinHashLSH:
         for i in range(self.b):
             band = pack_row(lean.hashvalues, i * self.r, (i + 1) * self.r,
                             self._band_dtype)
-            self._storage.remove(i, band, key)
+            self._tables[i].remove(band, key)
 
     # ------------------------------------------------------------------ #
     # Queries
@@ -158,7 +158,7 @@ class MinHashLSH:
         for i in range(self.b):
             band = pack_row(lean.hashvalues, i * self.r, (i + 1) * self.r,
                             self._band_dtype)
-            out |= self._storage.tables[i].get_view(band)
+            out |= self._tables[i].get_view(band)
         return out
 
     def query_batch(self, batch) -> list[set]:
@@ -182,7 +182,7 @@ class MinHashLSH:
         for i in range(self.b):
             buf = pack_block(matrix, i * self.r, (i + 1) * self.r,
                              self._band_dtype)
-            self._storage.merge_packed(i, buf, stride, results, rows)
+            self._tables[i].merge_packed(buf, stride, results, rows)
         return results
 
     def get_signature(self, key: Hashable) -> LeanMinHash:

@@ -1,10 +1,9 @@
 """Bucket storage for LSH indexes.
 
 LSH maps a band of a signature to a bucket key and appends the domain key to
-that bucket.  The paper's deployment spreads buckets over a cluster; here
-storage is a small abstraction so the index code never touches a concrete
-dict directly — swapping in a different backend (shared memory, disk) only
-requires implementing :class:`HashTableStorage`.
+that bucket.  The paper keeps one hash table per (tree, depth) of each
+partition's LSH Forest (Sections 5.5 and 6); :class:`DictHashTableStorage`
+is that table, and the index classes hold lists of them directly.
 
 Batched probes dispatch through the kernel registry
 (:mod:`repro.kernels`): a vectorised kernel answers ``merge_packed``
@@ -19,12 +18,8 @@ from collections.abc import Hashable, Iterator, Sequence
 import numpy as np
 
 from repro.kernels import SortedHashes, get_kernel, lanes_from_bytes
-from repro.kernels import fnv1a_lanes  # noqa: F401 — back-compat re-export
 
-__all__ = ["HashTableStorage", "DictHashTableStorage", "BandedStorage",
-           "fnv1a_lanes", "register_storage_backend",
-           "resolve_storage_backend", "storage_backend_name",
-           "list_storage_backends"]
+__all__ = ["DictHashTableStorage"]
 
 # Tables smaller than this answer packed probes with plain dict lookups;
 # building the sorted hash index only pays off once it is amortised over
@@ -34,83 +29,8 @@ _MIN_VECTOR_KEYS = 64
 _MIN_VECTOR_PROBES = 32
 
 
-class HashTableStorage:
-    """Interface: a multimap from bucket key to a set of domain keys."""
-
-    def insert(self, bucket_key: Hashable, key: Hashable) -> None:
-        raise NotImplementedError
-
-    def get(self, bucket_key: Hashable) -> frozenset:
-        raise NotImplementedError
-
-    def get_view(self, bucket_key: Hashable):
-        """Read-only view of a bucket for the query hot path.
-
-        Unlike :meth:`get`, the returned collection may alias internal
-        state and MUST NOT be mutated or retained across mutations of the
-        storage; it exists to avoid one copy per bucket probe.
-        """
-        raise NotImplementedError
-
-    def get_many(self, bucket_keys: Sequence[Hashable]) -> list:
-        """Views of many buckets in one call (the batch query hot path).
-
-        Same aliasing contract as :meth:`get_view`.  Backends with probe
-        setup cost (disk, network) should override this to amortise it
-        over the whole batch; the default simply loops.
-        """
-        return [self.get_view(k) for k in bucket_keys]
-
-    def merge_packed(self, buf: bytes, stride: int, results: Sequence[set],
-                     rows: Sequence[int]) -> None:
-        """Union packed-key buckets directly into the caller's result sets.
-
-        ``buf`` is the concatenation of ``len(rows)`` bucket keys of
-        ``stride`` bytes each — one ``ndarray.tobytes`` call over a band
-        slice of a signature matrix (the vectorised byte-packing the
-        batch query path is built on).  The bucket of the ``i``-th key is
-        unioned into ``results[rows[i]]``.  This fuses key slicing, the
-        bucket lookup, and the merge into one loop per band — the
-        innermost loop of the batch query path.
-        """
-        for j, off in zip(rows, range(0, len(buf), stride)):
-            bucket = self.get_view(buf[off:off + stride])
-            if bucket:
-                results[j] |= bucket
-
-    def insert_packed(self, buf: bytes, stride: int,
-                      keys: Sequence[Hashable]) -> None:
-        """Bulk-insert packed bucket keys: the write-side twin of
-        :meth:`merge_packed`.
-
-        ``buf`` concatenates ``len(keys)`` bucket keys of ``stride``
-        bytes each (one ``ndarray.tobytes`` pass over a band slice of a
-        signature matrix); ``keys[i]`` is filed under
-        ``buf[i * stride : (i + 1) * stride]``.  Backends with per-call
-        overhead (disk, network) should override this to amortise it
-        over the whole batch; the default simply loops over
-        :meth:`insert`.
-        """
-        for key, off in zip(keys, range(0, len(buf), stride)):
-            self.insert(buf[off:off + stride], key)
-
-    def remove(self, bucket_key: Hashable, key: Hashable) -> None:
-        raise NotImplementedError
-
-    def set_kernel(self, kernel) -> None:
-        """Adopt ``kernel`` (a :class:`repro.kernels.Kernel`) for packed
-        probe dispatch.  The default is a no-op: backends without a
-        vectorised path simply ignore the hint."""
-
-    def __len__(self) -> int:
-        raise NotImplementedError
-
-    def keys(self) -> Iterator[Hashable]:
-        raise NotImplementedError
-
-
-class DictHashTableStorage(HashTableStorage):
-    """In-memory dict-of-sets storage — the default backend.
+class DictHashTableStorage:
+    """In-memory dict-of-sets multimap from bucket key to domain keys.
 
     Batched probes (:meth:`merge_packed`) are answered through a lazily
     built sorted-key index: all bucket keys packed into one numpy void
@@ -118,20 +38,18 @@ class DictHashTableStorage(HashTableStorage):
     ``np.searchsorted`` call, so only *hits* are touched by Python code.
     The index is invalidated by any bucket-key mutation and rebuilt on
     the next batch probe.
+
+    ``kernel`` is the owning index's :class:`repro.kernels.Kernel`; None
+    resolves the process default lazily at probe time.
     """
 
     __slots__ = ("_table", "_packed", "_kernel")
 
-    def __init__(self) -> None:
+    def __init__(self, kernel=None) -> None:
         self._table: dict[Hashable, set] = {}
         # (stride, sorted_hash_index) or (stride, None) when keys are
         # not uniform `stride`-byte strings.
         self._packed: tuple[int, object | None] | None = None
-        # Kernel adopted from the owning index (None: resolve the
-        # process default lazily at probe time).
-        self._kernel = None
-
-    def set_kernel(self, kernel) -> None:
         self._kernel = kernel
 
     def insert(self, bucket_key: Hashable, key: Hashable) -> None:
@@ -149,15 +67,26 @@ class DictHashTableStorage(HashTableStorage):
     _EMPTY: frozenset = frozenset()
 
     def get_view(self, bucket_key: Hashable):
-        return self._table.get(bucket_key) or DictHashTableStorage._EMPTY
+        """Read-only view of a bucket for the query hot path.
 
-    def get_many(self, bucket_keys: Sequence[Hashable]) -> list:
-        get = self._table.get
-        empty = DictHashTableStorage._EMPTY
-        return [get(k) or empty for k in bucket_keys]
+        Unlike :meth:`get`, the returned collection may alias internal
+        state and MUST NOT be mutated or retained across mutations of the
+        storage; it exists to avoid one copy per bucket probe.
+        """
+        return self._table.get(bucket_key) or DictHashTableStorage._EMPTY
 
     def merge_packed(self, buf: bytes, stride: int, results: Sequence[set],
                      rows: Sequence[int]) -> None:
+        """Union packed-key buckets directly into the caller's result sets.
+
+        ``buf`` is the concatenation of ``len(rows)`` bucket keys of
+        ``stride`` bytes each — one ``ndarray.tobytes`` call over a band
+        slice of a signature matrix (the vectorised byte-packing the
+        batch query path is built on).  The bucket of the ``i``-th key is
+        unioned into ``results[rows[i]]``.  This fuses key slicing, the
+        bucket lookup, and the merge into one loop per band — the
+        innermost loop of the batch query path.
+        """
         kernel = self._kernel or get_kernel(None)
         n = len(buf) // stride if stride else 0
         index = (self._packed_index(stride, kernel)
@@ -190,8 +119,8 @@ class DictHashTableStorage(HashTableStorage):
 
         None means "use dict lookups": the table is small, or its keys
         are not uniform ``stride``-length byte strings (generic keys are
-        allowed by the interface; only the packed-bytes layout used by
-        the LSH band tables vectorises).  b-bit packed keys (stride not
+        allowed; only the packed-bytes layout used by the LSH band
+        tables vectorises).  b-bit packed keys (stride not
         a multiple of 8) are hashed through their widened byte lanes —
         see :func:`repro.kernels.lanes_from_bytes`.
         """
@@ -212,10 +141,17 @@ class DictHashTableStorage(HashTableStorage):
 
     def insert_packed(self, buf: bytes, stride: int,
                       keys: Sequence[Hashable]) -> None:
-        # The bulk-build hot loop: same effect as the base-class loop
-        # over insert(), but with the dict access inlined so each
-        # (bucket key, member) pair costs one slice, one lookup, and one
-        # set update.
+        """Bulk-insert packed bucket keys: the write-side twin of
+        :meth:`merge_packed`.
+
+        ``buf`` concatenates ``len(keys)`` bucket keys of ``stride``
+        bytes each (one ``ndarray.tobytes`` pass over a band slice of a
+        signature matrix); ``keys[i]`` is filed under
+        ``buf[i * stride : (i + 1) * stride]``.
+        """
+        # The bulk-build hot loop: same effect as a loop over insert(),
+        # but with the dict access inlined so each (bucket key, member)
+        # pair costs one slice, one lookup, and one set update.
         table = self._table
         off = 0
         for key in keys:
@@ -246,101 +182,3 @@ class DictHashTableStorage(HashTableStorage):
     def bucket_sizes(self) -> list[int]:
         """Sizes of all buckets (diagnostics: collision profile)."""
         return [len(b) for b in self._table.values()]
-
-
-# --------------------------------------------------------------------- #
-# Backend registry
-# --------------------------------------------------------------------- #
-#
-# Persistence records *which* bucket backend an index was built with so a
-# loaded index is faithful to the saved one (a dict-backed index must not
-# silently come back disk-backed, or vice versa).  Factories register
-# under a short stable name; the name goes into the snapshot header and
-# is resolved back to the factory on load.
-
-_STORAGE_BACKENDS: dict[str, object] = {}
-
-
-def register_storage_backend(name: str, factory) -> None:
-    """Register ``factory`` (a zero-argument callable returning a
-    :class:`HashTableStorage`) under ``name`` for persistence.
-
-    Re-registering a name with a different factory raises — snapshot
-    headers reference backends by name, so names must stay unambiguous
-    within a process.
-    """
-    existing = _STORAGE_BACKENDS.get(name)
-    if existing is not None and existing is not factory:
-        raise ValueError(
-            "storage backend name %r is already registered" % name
-        )
-    _STORAGE_BACKENDS[name] = factory
-
-
-def resolve_storage_backend(name: str):
-    """The factory registered under ``name`` (KeyError when unknown)."""
-    try:
-        return _STORAGE_BACKENDS[name]
-    except KeyError:
-        raise KeyError(
-            "unknown storage backend %r; registered backends: %s"
-            % (name, sorted(_STORAGE_BACKENDS))
-        ) from None
-
-
-def storage_backend_name(factory) -> str | None:
-    """The registered name of ``factory``, or None when unregistered."""
-    for name, registered in _STORAGE_BACKENDS.items():
-        if registered is factory:
-            return name
-    return None
-
-
-def list_storage_backends() -> list[str]:
-    """Names of all registered storage backends, sorted."""
-    return sorted(_STORAGE_BACKENDS)
-
-
-register_storage_backend("dict", DictHashTableStorage)
-
-
-class BandedStorage:
-    """One hash table per LSH band, b tables total."""
-
-    __slots__ = ("tables",)
-
-    def __init__(self, num_bands: int,
-                 storage_factory=DictHashTableStorage,
-                 kernel=None) -> None:
-        if num_bands <= 0:
-            raise ValueError("num_bands must be positive")
-        self.tables = [storage_factory() for _ in range(num_bands)]
-        if kernel is not None:
-            for table in self.tables:
-                table.set_kernel(kernel)
-
-    def __len__(self) -> int:
-        return len(self.tables)
-
-    def insert(self, band_index: int, bucket_key: Hashable,
-               key: Hashable) -> None:
-        self.tables[band_index].insert(bucket_key, key)
-
-    def get(self, band_index: int, bucket_key: Hashable) -> frozenset:
-        return self.tables[band_index].get(bucket_key)
-
-    def get_many(self, band_index: int,
-                 bucket_keys: Sequence[Hashable]) -> list:
-        """Batched probe of one band's table; see
-        :meth:`HashTableStorage.get_many`."""
-        return self.tables[band_index].get_many(bucket_keys)
-
-    def merge_packed(self, band_index: int, buf: bytes, stride: int,
-                     results: Sequence[set], rows: Sequence[int]) -> None:
-        """Fused packed probe of one band's table; see
-        :meth:`HashTableStorage.merge_packed`."""
-        self.tables[band_index].merge_packed(buf, stride, results, rows)
-
-    def remove(self, band_index: int, bucket_key: Hashable,
-               key: Hashable) -> None:
-        self.tables[band_index].remove(bucket_key, key)

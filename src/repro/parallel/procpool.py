@@ -159,8 +159,8 @@ def _apply_overlay(index, overlay: dict) -> None:
     delta_index = None
     if delta_spec is not None:
         delta_index = import_columnar(
-            delta_spec, storage_factory=index._storage_factory,
-            partitioner=index._partitioner, kernel=index._kernel)
+            delta_spec, partitioner=index._partitioner,
+            kernel=index._kernel)
     with index.locked():
         index._attach_dynamic_state_locked(
             overlay.get("tombstones") or (), delta_index,
@@ -554,9 +554,9 @@ class PooledIndex(QuerySurface):
     Parameters
     ----------
     index:
-        A built (or loaded) flat ensemble.  Its storage backend and
-        partitioner must be registry-resolvable — workers re-open the
-        spilled segment through :func:`repro.persistence.load_ensemble`.
+        A built (or loaded) flat ensemble.  Its partitioner must be
+        registry-resolvable — workers re-open the spilled segment
+        through :func:`repro.persistence.load_ensemble`.
     pool:
         Share an existing pool (a sharded cluster runs all shards on
         one pool); when omitted a private pool is created (and closed
@@ -587,17 +587,11 @@ class PooledIndex(QuerySurface):
                  spill_dir: str | Path | None = None,
                  slices: int | None = None, mmap: bool = True) -> None:
         from repro.core.partitioner import partitioner_name
-        from repro.lsh.storage import storage_backend_name
 
         if not getattr(index, "_forests", None):
             raise RuntimeError(
                 "the index is empty; call index() (or load one) before "
                 "attaching a process pool")
-        if storage_backend_name(index._storage_factory) is None:
-            raise ValueError(
-                "process workers re-open the index from disk, which "
-                "requires a registered storage backend (see "
-                "repro.lsh.storage.register_storage_backend)")
         if partitioner_name(index._partitioner) is None:
             raise ValueError(
                 "process workers re-open the index from disk, which "

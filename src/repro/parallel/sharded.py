@@ -437,9 +437,8 @@ class ShardedEnsemble(QuerySurface):
 
     @classmethod
     def load(cls, path: str | Path, *, parallel: bool | None = None,
-             storage_factory=None, partitioner=None, kernel=None,
-             mmap: bool = True, executor: str = "thread",
-             num_workers: int | None = None,
+             partitioner=None, kernel=None, mmap: bool = True,
+             executor: str = "thread", num_workers: int | None = None,
              start_method: str | None = None) -> "ShardedEnsemble":
         """Load a cluster saved by :meth:`save`.
 
@@ -476,10 +475,8 @@ class ShardedEnsemble(QuerySurface):
         for name in names:
             try:
                 shards.append(
-                    load_ensemble(root / name,
-                                  storage_factory=storage_factory,
-                                  partitioner=partitioner, kernel=kernel,
-                                  mmap=mmap))
+                    load_ensemble(root / name, partitioner=partitioner,
+                                  kernel=kernel, mmap=mmap))
             except FileNotFoundError as exc:
                 raise FormatError(
                     "manifest names shard file %s but it is missing"

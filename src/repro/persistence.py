@@ -32,15 +32,14 @@ single file::
 ``save_ensemble`` picks the layout automatically: clean indexes keep
 the single-file v2 format below (and stay readable forever), dynamic
 ones get the manifest; ``version=3`` forces the manifest, ``version=2``
-/ ``version=1`` refuse dynamic state.  ``load_ensemble`` accepts both
-transparently.
+refuses dynamic state.  ``load_ensemble`` accepts both transparently.
 
 Format v2 (current, little-endian) — zero-copy columnar::
 
     magic   b"LSHE"            4 bytes
     version u32                2
     header  u32 length + JSON  configuration, partitions, key/size
-                               tables, backend + partitioner names
+                               tables, storage + partitioner names
     seeds   N x u32 (or i64)   per-signature permutation seed column
     matrix  N x num_perm x u64 all signature hash values, C-order,
                                rows ordered partition-major
@@ -55,28 +54,23 @@ the forests' vectorised ``insert_batch``.  The header records:
 * ``partition_max_size`` — the per-partition true-size high-water mark,
   restored verbatim so drifted indexes (clamped inserts, removed
   maxima) answer queries identically after a round trip;
-* ``storage`` / ``partitioner`` — the *registry names* of the bucket
-  backend and partitioning strategy
-  (:func:`repro.lsh.storage.register_storage_backend`,
-  :func:`repro.core.partitioner.register_partitioner`), so a loaded
-  index keeps the backend it was built with.  Unknown names fail
+* ``partitioner`` — the *registry name* of the partitioning strategy
+  (:func:`repro.core.partitioner.register_partitioner`), so a loaded
+  index keeps the strategy it was built with.  Unknown names fail
   loudly; unregistered customs are recorded as ``null`` and require an
-  explicit factory override at load time;
+  explicit ``partitioner=`` override at load time;
+* ``storage`` — always ``"dict"``: there is one bucket table
+  (:class:`repro.lsh.storage.DictHashTableStorage`).  The field is
+  still written so files stay byte-compatible with older readers; a
+  header naming anything else fails loudly, an absent field is fine;
 * ``seed_dtype`` — ``"<u4"`` normally, escalated to ``"<i8"`` when a
   seed does not fit in 32 bits.
 
-Format v1 (legacy, still readable)::
-
-    magic   b"LSHE"            4 bytes
-    version u32                1
-    header  u32 length + JSON  configuration + partitions + key table
-    payload num_entries x (u32 length + LeanMinHash.serialize() bytes)
-
-v1 files carry no backend/partitioner names (the defaults — or the
-load-time overrides — apply) and no ``partition_max_size`` (it is
-recomputed from the stored sizes).  Both readers reject files with
-trailing bytes after the payload: a truncated-then-concatenated or
-doubly-written file must not load "successfully".
+The reader rejects files with trailing bytes after the payload: a
+truncated-then-concatenated or doubly-written file must not load
+"successfully".  Format v1 (per-entry ``LeanMinHash.serialize()`` blobs;
+superseded by v2 in PR 2) was retired: a v1 preamble raises
+:class:`FormatError` and the index must be rebuilt.
 
 Keys are JSON-encoded in the header, so any JSON-representable key
 (strings, numbers, or lists/tuples of those) round-trips; tuple keys
@@ -101,11 +95,6 @@ from repro.core.partitioner import (
     resolve_partitioner,
 )
 from repro.kernels import kernel_for_header, kernel_name
-from repro.lsh.storage import (
-    resolve_storage_backend,
-    storage_backend_name,
-)
-from repro.minhash.lean import LeanMinHash
 
 __all__ = ["save_ensemble", "load_ensemble", "read_header", "FormatError",
            "export_columnar", "import_columnar",
@@ -113,6 +102,9 @@ __all__ = ["save_ensemble", "load_ensemble", "read_header", "FormatError",
 
 _MAGIC = b"LSHE"
 _VERSION = 2
+# The one bucket table's header name, written as a constant (see the
+# module docstring) and the only value the reader accepts.
+_STORAGE_NAME = "dict"
 _MANIFEST_VERSION = 3
 _MANIFEST_NAME = "manifest.json"
 _MANIFEST_FORMAT = "lshe-dynamic"
@@ -184,9 +176,9 @@ def save_ensemble(index: LSHEnsemble, path: str | Path,
       or tombstones) or ``path`` is already a manifest directory; the
       single-file columnar v2 format otherwise.
     * ``3`` — always the manifest directory.
-    * ``2`` / ``1`` — the single-file columnar / legacy per-entry
-      formats; both refuse dynamic state (``rebalance()`` first, or let
-      the automatic mode write a manifest).
+    * ``2`` — the single-file columnar format; refuses dynamic state
+      (``rebalance()`` first, or let the automatic mode write a
+      manifest).
     """
     # Saving reads every tier; hold the index's mutation/query lock so
     # a concurrent insert/remove/rebalance (now supported — the serving
@@ -207,12 +199,9 @@ def save_ensemble(index: LSHEnsemble, path: str | Path,
                 "index has delta-tier writes or tombstones; call "
                 "rebalance() first or save as a dynamic manifest "
                 "(version=3)")
-        if version == 1:
-            _atomic_write(path, lambda fh: _save_v1(index, fh))
-        elif version == 2:
-            _atomic_write(path, lambda fh: _save_v2(index, fh))
-        else:
+        if version != _VERSION:
             raise ValueError("unsupported save version %d" % version)
+        _atomic_write(path, lambda fh: _save_v2(index, fh))
 
 
 def _atomic_write(path: str | Path, writer) -> None:
@@ -269,18 +258,6 @@ def _write_header(fh, version: int, header: dict) -> None:
     fh.write(_U32.pack(version))
     fh.write(_U32.pack(len(header_bytes)))
     fh.write(header_bytes)
-
-
-def _save_v1(index: LSHEnsemble, fh) -> None:
-    keys = list(index.keys())
-    header = _base_header(index)
-    header["keys"] = [_encode_key(k) for k in keys]
-    header["sizes"] = [index.size_of(k) for k in keys]
-    _write_header(fh, 1, header)
-    for key in keys:
-        blob = index.get_signature(key).serialize()
-        fh.write(_U32.pack(len(blob)))
-        fh.write(blob)
 
 
 def _columnar_export_state(index: LSHEnsemble) -> tuple[dict, list]:
@@ -350,7 +327,7 @@ def _save_v2(index: LSHEnsemble, fh) -> None:
                   else "<i8")
     header["keys"] = [_encode_key(k) for k in header["keys"]]
     header.update({
-        "storage": storage_backend_name(index._storage_factory),
+        "storage": _STORAGE_NAME,
         "partitioner": partitioner_name(index._partitioner),
         "seed_dtype": seed_dtype,
     })
@@ -387,9 +364,9 @@ def export_columnar(index: LSHEnsemble) -> dict:
     without a disk round trip; :func:`import_columnar` rebuilds a
     bit-identical index (same partitions, tuning bounds, signatures).
 
-    Unlike the file writer the header carries no backend/partitioner
-    registry names: the importer supplies factories explicitly (workers
-    use the factories of the base index the delta rides on).
+    Unlike the file writer the header carries no partitioner registry
+    name: the importer supplies the callable explicitly (workers use
+    the partitioner of the base index the delta rides on).
     """
     with index.locked():
         if _has_dynamic_state(index):
@@ -409,14 +386,14 @@ def export_columnar(index: LSHEnsemble) -> dict:
         return {"header": header, "seeds": seeds, "matrix": matrix}
 
 
-def import_columnar(spec: dict, *, storage_factory=None,
-                    partitioner=None, kernel=None) -> LSHEnsemble:
+def import_columnar(spec: dict, *, partitioner=None,
+                    kernel=None) -> LSHEnsemble:
     """Rebuild an index from :func:`export_columnar` output.
 
-    The factories default to the :class:`LSHEnsemble` constructor
-    defaults; pass the base index's own ``storage_factory`` /
-    ``partitioner`` (and ``kernel``) to keep a shipped delta tier on
-    the same backend as the base index it rides on.
+    ``partitioner`` defaults to the :class:`LSHEnsemble` constructor
+    default; pass the base index's own ``partitioner`` (and ``kernel``)
+    to keep a shipped delta tier on the same strategy as the base index
+    it rides on.
     """
     try:
         header = spec["header"]
@@ -434,7 +411,7 @@ def import_columnar(spec: dict, *, storage_factory=None,
     matrix = np.ascontiguousarray(spec["matrix"], dtype=np.uint64)
     matrix.setflags(write=False)
     seeds = np.asarray(spec["seeds"], dtype=np.int64)
-    index = _make_ensemble(header, storage_factory, partitioner, kernel)
+    index = _make_ensemble(header, partitioner, kernel)
     with index.locked():
         index._restore_columnar_locked(partitions, keys, sizes, matrix,
                                        seeds, partition_rows,
@@ -620,7 +597,7 @@ def _read_manifest(root: Path) -> dict:
 
 
 def _read_preamble(fh) -> tuple[int, dict, int]:
-    """(version, header, payload offset) — shared by both readers."""
+    """(version, header, payload offset) of a single-file snapshot."""
     magic = fh.read(4)
     if magic != _MAGIC:
         raise FormatError("bad magic %r; not an LSH Ensemble file" % magic)
@@ -628,7 +605,10 @@ def _read_preamble(fh) -> tuple[int, dict, int]:
     if len(raw) != _U32.size:
         raise FormatError("truncated file: missing version field")
     (version,) = _U32.unpack(raw)
-    if version not in (1, 2):
+    if version == 1:
+        raise FormatError(
+            "format v1 was retired; rebuild the index with `repro build`")
+    if version != _VERSION:
         raise FormatError("unsupported format version %d" % version)
     raw = fh.read(_U32.size)
     if len(raw) != _U32.size:
@@ -644,47 +624,30 @@ def _read_preamble(fh) -> tuple[int, dict, int]:
     return version, header, 4 + 2 * _U32.size + header_len
 
 
-def _resolve_factories(header: dict, storage_factory, partitioner,
-                       version: int):
-    """Thread the recorded backend/partitioner through, or fail loudly.
+def _resolve_partitioner(header: dict, partitioner):
+    """Thread the recorded partitioner through, or fail loudly.
 
-    Explicit load-time overrides win.  Otherwise v2 headers name the
-    backend in the registry (unknown names and unregistered customs
-    raise — never silently fall back to the defaults); v1 headers
-    predate the registry, so the constructor defaults apply.
+    An explicit load-time override wins.  Otherwise the header names
+    the partitioner in the registry (unknown names and unregistered
+    customs raise — never silently fall back to the default).
     """
-    if storage_factory is None:
-        name = header.get("storage")
-        if name is not None:
-            try:
-                storage_factory = resolve_storage_backend(name)
-            except KeyError as exc:
-                raise FormatError(str(exc)) from exc
-        elif version >= 2:
-            raise FormatError(
-                "index was saved with an unregistered storage backend; "
-                "pass storage_factory= to load_ensemble (or register the "
-                "backend before saving)")
     if partitioner is None:
         name = header.get("partitioner")
-        if name is not None:
-            try:
-                partitioner = resolve_partitioner(name)
-            except KeyError as exc:
-                raise FormatError(str(exc)) from exc
-        elif version >= 2:
+        if name is None:
             raise FormatError(
                 "index was saved with an unregistered partitioner; pass "
                 "partitioner= to load_ensemble (or register the "
                 "partitioner before saving)")
-    return storage_factory, partitioner
+        try:
+            partitioner = resolve_partitioner(name)
+        except KeyError as exc:
+            raise FormatError(str(exc)) from exc
+    return partitioner
 
 
-def _make_ensemble(header: dict, storage_factory, partitioner,
+def _make_ensemble(header: dict, partitioner,
                    kernel=None) -> LSHEnsemble:
     kwargs = {}
-    if storage_factory is not None:
-        kwargs["storage_factory"] = storage_factory
     if partitioner is not None:
         kwargs["partitioner"] = partitioner
     if header.get("auto_rebalance_at") is not None:
@@ -701,63 +664,53 @@ def _make_ensemble(header: dict, storage_factory, partitioner,
     )
 
 
-def load_ensemble(path: str | Path, *, storage_factory=None,
-                  partitioner=None, kernel=None,
+def load_ensemble(path: str | Path, *, partitioner=None, kernel=None,
                   mmap: bool = True) -> LSHEnsemble:
     """Load an index previously written by :func:`save_ensemble`.
 
     The returned index answers queries identically to the saved one
     (signatures are bit-exact; bucket structures re-derive
     deterministically from them with the saved partition bounds and
-    high-water marks).  v2 snapshots load through one numpy view of the
+    high-water marks).  Snapshots load through one numpy view of the
     signature matrix — ``mmap=True`` (the default) maps it from disk so
     signature pages are only faulted in as queries touch them, and the
     per-depth bucket tables materialise lazily on first probe.
 
     Parameters
     ----------
-    storage_factory, partitioner:
-        Overrides for the bucket backend / partitioning strategy.  By
-        default the names recorded in a v2 header are resolved through
-        the registries; an unknown or unrecorded name raises
-        :class:`FormatError` rather than silently reverting to the
-        defaults.  v1 files carry no names, so the constructor defaults
-        apply unless overridden here.
+    partitioner:
+        Override for the partitioning strategy.  By default the name
+        recorded in the header is resolved through the registry; an
+        unknown or unrecorded name raises :class:`FormatError` rather
+        than silently reverting to the default.
     kernel:
         Hot-loop backend override (name or :class:`~repro.kernels.Kernel`
-        instance).  Unlike the factories, the header-recorded kernel
+        instance).  Unlike the partitioner, the header-recorded kernel
         name is advisory: precedence is this argument, then the
         ``REPRO_KERNEL`` environment, then the header name, then the
-        default — and an unavailable header name (e.g. numba on a box
-        without it) falls back silently, because every backend is
-        bit-identical.
+        default — and an unavailable header name (old files can name
+        the retired ``numba`` kernel) falls back silently, because
+        every backend is bit-identical.
     mmap:
-        Memory-map the v2 signature matrix instead of reading it into
-        memory (ignored for v1 files; for a manifest, applies to the
-        base segment — the small mutable delta segment is always read
-        into memory).
+        Memory-map the signature matrix instead of reading it into
+        memory (for a manifest, applies to the base segment — the small
+        mutable delta segment is always read into memory).
     """
     path = Path(path)
     if path.is_dir():
-        return _load_manifest(path, storage_factory, partitioner, kernel,
-                              mmap)
+        return _load_manifest(path, partitioner, kernel, mmap)
     with open(path, "rb") as fh:
-        version, header, offset = _read_preamble(fh)
-        if version == 1:
-            return _load_v1(fh, header, storage_factory, partitioner,
-                            kernel)
-        return _load_v2(fh, path, header, offset, storage_factory,
-                        partitioner, kernel, mmap)
+        _, header, offset = _read_preamble(fh)
+        return _load_v2(fh, path, header, offset, partitioner, kernel, mmap)
 
 
-def _load_manifest(root: Path, storage_factory, partitioner, kernel,
+def _load_manifest(root: Path, partitioner, kernel,
                    mmap: bool) -> LSHEnsemble:
     manifest = _read_manifest(root)
     base_path = root / manifest["base"]
     try:
-        index = load_ensemble(base_path, storage_factory=storage_factory,
-                              partitioner=partitioner, kernel=kernel,
-                              mmap=mmap)
+        index = load_ensemble(base_path, partitioner=partitioner,
+                              kernel=kernel, mmap=mmap)
     except FileNotFoundError:
         raise FormatError(
             "manifest names base segment %s but it is missing"
@@ -767,8 +720,8 @@ def _load_manifest(root: Path, storage_factory, partitioner, kernel,
     if delta_name is not None:
         try:
             delta_index = load_ensemble(
-                root / delta_name, storage_factory=storage_factory,
-                partitioner=partitioner, kernel=kernel, mmap=False)
+                root / delta_name, partitioner=partitioner, kernel=kernel,
+                mmap=False)
         except FileNotFoundError:
             raise FormatError(
                 "manifest names delta segment %s but it is missing"
@@ -824,36 +777,15 @@ def _header_entry_tables(header: dict) -> tuple[list, list]:
     return keys, sizes
 
 
-def _load_v1(fh, header: dict, storage_factory, partitioner,
-             kernel=None) -> LSHEnsemble:
-    storage_factory, partitioner = _resolve_factories(
-        header, storage_factory, partitioner, version=1)
-    keys, sizes = _header_entry_tables(header)
-    entries = []
-    for key, size in zip(keys, sizes):
-        raw = fh.read(_U32.size)
-        if len(raw) != _U32.size:
-            raise FormatError("truncated payload")
-        (blob_len,) = _U32.unpack(raw)
-        blob = fh.read(blob_len)
-        if len(blob) != blob_len:
-            raise FormatError("truncated signature blob")
-        entries.append((key, LeanMinHash.deserialize(blob), size))
-    if fh.read(1):
+def _load_v2(fh, path, header: dict, offset: int, partitioner, kernel,
+             mmap: bool) -> LSHEnsemble:
+    if header.get("storage", _STORAGE_NAME) != _STORAGE_NAME:
+        # Written while the bucket table was pluggable, by a backend
+        # this code does not have.
         raise FormatError(
-            "trailing bytes after the last signature blob; "
-            "the file is corrupt (truncated-then-concatenated or "
-            "doubly written)")
-    index = _make_ensemble(header, storage_factory, partitioner, kernel)
-    partitions = [Partition(lo, hi) for lo, hi in header["partitions"]]
-    index.index(entries, partitions=partitions)
-    return index
-
-
-def _load_v2(fh, path, header: dict, offset: int, storage_factory,
-             partitioner, kernel, mmap: bool) -> LSHEnsemble:
-    storage_factory, partitioner = _resolve_factories(
-        header, storage_factory, partitioner, version=2)
+            "unknown storage backend %r; this build has only %r"
+            % (header["storage"], _STORAGE_NAME))
+    partitioner = _resolve_partitioner(header, partitioner)
     keys, sizes = _header_entry_tables(header)
     partitions = [Partition(lo, hi) for lo, hi in header["partitions"]]
     try:
@@ -887,7 +819,7 @@ def _load_v2(fh, path, header: dict, offset: int, storage_factory,
             "the file is corrupt (truncated-then-concatenated or "
             "doubly written)" % (actual - expected))
     if n == 0 and not partitions:
-        return _make_ensemble(header, storage_factory, partitioner, kernel)
+        return _make_ensemble(header, partitioner, kernel)
     if n == 0:
         # A dynamic index whose base tier emptied out entirely (every
         # built key tombstoned away) still carries its partition
@@ -907,7 +839,7 @@ def _load_v2(fh, path, header: dict, offset: int, storage_factory,
             payload = fh.read(matrix_nbytes)
             matrix = np.frombuffer(payload,
                                    dtype="<u8").reshape(n, num_perm)
-    index = _make_ensemble(header, storage_factory, partitioner, kernel)
+    index = _make_ensemble(header, partitioner, kernel)
     with index.locked():
         index._restore_columnar_locked(partitions, keys, sizes, matrix,
                                        seeds, partition_rows,

@@ -120,11 +120,6 @@ class TestEpochPersistence:
             directory / sorted(p.name for p in directory.glob("base-*"))[0])
         assert base_header["mutation_epoch"] < 3  # stale copy, ignored
 
-    def test_v1_defaults_to_zero(self, index, tmp_path):
-        path = tmp_path / "legacy.lshe"
-        save_ensemble(index, path, version=1)
-        assert load_ensemble(path).mutation_epoch == 0
-
 
 class TestShardedEpoch:
     def _cluster(self, parallel: bool = True):

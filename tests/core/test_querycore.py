@@ -6,11 +6,13 @@ and the default ``query_top_k_batch`` are derived once in
 executor grows its own copy back.
 """
 
+import re
 from pathlib import Path
 
 import repro
 from repro.core.ensemble import LSHEnsemble
 from repro.core.querycore import QuerySurface
+from repro.kernels import list_kernels
 from repro.parallel.procpool import PooledIndex
 from repro.parallel.sharded import ShardedEnsemble
 from repro.serve.executor import InProcessExecutor, ProcPoolExecutor
@@ -43,3 +45,18 @@ def test_sizes_normalisation_message_has_one_home():
              if "got %d sizes for %d signatures"
              in path.read_text(encoding="utf-8")]
     assert homes == ["core/querycore.py"]
+
+
+def test_the_one_plug_seams_stay_retired():
+    # One bucket table, one single-file snapshot format, two kernels:
+    # the storage-backend interface/registry, the v1 reader and the
+    # numba backend each had exactly one plug and were removed.
+    retired = re.compile(r"\b(storage_factory|HashTableStorage|BandedStorage"
+                         r"|_load_v1|numba_impl|from numba)\b")
+    src = Path(repro.__file__).parent
+    found = {(path.relative_to(src).as_posix(), match.group())
+             for path in sorted(src.rglob("*.py"))
+             for match in retired.finditer(
+                 path.read_text(encoding="utf-8"))}
+    assert found == set()
+    assert list_kernels() == ["numpy", "python"]

@@ -128,8 +128,6 @@ class TestManifestRoundtrip:
         _, index = dynamic_index
         with pytest.raises(ValueError, match="rebalance"):
             save_ensemble(index, tmp_path / "x.lshe", version=2)
-        with pytest.raises(ValueError, match="rebalance"):
-            save_ensemble(index, tmp_path / "x.lshe", version=1)
 
     def test_version_3_forces_manifest_for_clean_index(self, tmp_path):
         domains = make_domains()

@@ -1,6 +1,7 @@
 """Integration tests for index save/load."""
 
 import json
+import struct
 
 import pytest
 
@@ -9,7 +10,6 @@ from repro.core.partitioner import (
     equi_depth_partitions,
     register_partitioner,
 )
-from repro.lsh.storage import DictHashTableStorage, register_storage_backend
 from repro.minhash.lean import LeanMinHash
 from repro.minhash.minhash import MinHash
 from repro.persistence import (
@@ -137,19 +137,22 @@ class TestErrors:
             load_ensemble(path)
 
 
-class _CustomStorage(DictHashTableStorage):
-    """A distinct backend class for registry round-trip tests."""
-
-
-class _UnregisteredStorage(DictHashTableStorage):
-    """Never registered; saving records null and load must fail loudly."""
+def _rewrite_header(path, edit):
+    """Apply ``edit(header_dict)`` to a v2 file's JSON header in place,
+    rewriting the u32 length field; the payload is untouched."""
+    blob = path.read_bytes()
+    (length,) = struct.unpack_from("<I", blob, 8)
+    header = json.loads(blob[12:12 + length])
+    edit(header)
+    raw = json.dumps(header, separators=(",", ":")).encode("utf-8")
+    path.write_bytes(blob[:8] + struct.pack("<I", len(raw)) + raw
+                     + blob[12 + length:])
 
 
 def _custom_partitioner(sizes, num_partitions):
     return equi_depth_partitions(sizes, num_partitions)
 
 
-register_storage_backend("test-custom", _CustomStorage)
 register_partitioner("test-custom", _custom_partitioner)
 
 
@@ -165,24 +168,36 @@ class TestFormatV2:
         assert sum(header["partition_rows"]) == len(index)
         assert len(header["partition_max_size"]) == len(index.partitions)
 
-    def test_v1_version_switch(self, built_index, tmp_path):
+    def test_v1_preamble_is_refused_as_retired(self, built_index, tmp_path):
+        _, index = built_index
+        # Nothing writes v1 any more: hand-build its preamble (magic,
+        # u32 1, u32 header length, JSON header).
+        header = b'{"keys":[],"sizes":[]}'
+        path = tmp_path / "index.v1.lshe"
+        path.write_bytes(b"LSHE" + struct.pack("<I", 1)
+                         + struct.pack("<I", len(header)) + header)
+        with pytest.raises(FormatError, match="retired"):
+            load_ensemble(path)
+        with pytest.raises(FormatError, match="retired"):
+            read_header(path)
+        with pytest.raises(ValueError, match="unsupported save version"):
+            save_ensemble(index, tmp_path / "x.lshe", version=1)
+
+    def test_header_without_storage_field_loads(self, built_index,
+                                                tmp_path):
         domains, index = built_index
-        v1 = tmp_path / "index.v1.lshe"
-        v2 = tmp_path / "index.v2.lshe"
-        save_ensemble(index, v1, version=1)
-        save_ensemble(index, v2)
-        assert read_header(v1)["version"] == 1
-        from_v1 = load_ensemble(v1)
-        from_v2 = load_ensemble(v2)
+        path = tmp_path / "index.lshe"
+        save_ensemble(index, path)
+        _rewrite_header(path, lambda header: header.pop("storage"))
+        assert "storage" not in read_header(path)
+        loaded = load_ensemble(path)
         for key, values in list(domains.items())[:8]:
             probe = sig(values)
             for threshold in (0.3, 0.7, 1.0):
-                expected = index.query(probe, size=len(values),
-                                       threshold=threshold)
-                assert from_v1.query(probe, size=len(values),
-                                     threshold=threshold) == expected
-                assert from_v2.query(probe, size=len(values),
-                                     threshold=threshold) == expected
+                assert loaded.query(probe, size=len(values),
+                                    threshold=threshold) == \
+                    index.query(probe, size=len(values),
+                                threshold=threshold)
 
     def test_mmap_off_equivalent(self, built_index, tmp_path):
         domains, index = built_index
@@ -294,48 +309,24 @@ class TestTrailingBytes:
         with pytest.raises(FormatError):
             load_ensemble(path)
 
-    def test_v1_trailing_bytes_rejected(self, built_index, tmp_path):
-        _, index = built_index
-        path = tmp_path / "index.lshe"
-        save_ensemble(index, path, version=1)
-        path.write_bytes(path.read_bytes() + b"junk")
-        with pytest.raises(FormatError, match="trailing"):
-            load_ensemble(path)
-
 
 class TestBackendFidelity:
     def test_registered_backend_roundtrips(self, built_index, tmp_path):
         domains, _ = built_index
         index = LSHEnsemble(threshold=0.7, num_perm=NUM_PERM,
                             num_partitions=4,
-                            storage_factory=_CustomStorage,
                             partitioner=_custom_partitioner)
         index.index((k, sig(v), len(v)) for k, v in domains.items())
         path = tmp_path / "custom.lshe"
         save_ensemble(index, path)
         header = read_header(path)
-        assert header["storage"] == "test-custom"
         assert header["partitioner"] == "test-custom"
         loaded = load_ensemble(path)
-        assert loaded._storage_factory is _CustomStorage
         assert loaded._partitioner is _custom_partitioner
         for key, values in list(domains.items())[:5]:
             probe = sig(values)
             assert loaded.query(probe, size=len(values), threshold=0.7) == \
                 index.query(probe, size=len(values), threshold=0.7)
-
-    def test_unregistered_backend_fails_loudly(self, built_index, tmp_path):
-        domains, _ = built_index
-        index = LSHEnsemble(num_perm=NUM_PERM, num_partitions=4,
-                            storage_factory=_UnregisteredStorage)
-        index.index((k, sig(v), len(v)) for k, v in domains.items())
-        path = tmp_path / "anon.lshe"
-        save_ensemble(index, path)
-        assert read_header(path)["storage"] is None
-        with pytest.raises(FormatError, match="unregistered storage"):
-            load_ensemble(path)
-        loaded = load_ensemble(path, storage_factory=_UnregisteredStorage)
-        assert loaded._storage_factory is _UnregisteredStorage
 
     def test_unregistered_partitioner_fails_loudly(self, built_index,
                                                    tmp_path):
@@ -359,6 +350,17 @@ class TestBackendFidelity:
         blob = path.read_bytes().replace(b'"storage":"dict"',
                                          b'"storage":"duck"')
         path.write_bytes(blob)
+        with pytest.raises(FormatError, match="unknown storage backend"):
+            load_ensemble(path)
+
+    def test_null_backend_name_fails_loudly(self, built_index, tmp_path):
+        # What the parent wrote for an unregistered custom backend.
+        _, index = built_index
+        path = tmp_path / "index.lshe"
+        save_ensemble(index, path)
+        _rewrite_header(path,
+                        lambda header: header.update(storage=None))
+        assert read_header(path)["storage"] is None
         with pytest.raises(FormatError, match="unknown storage backend"):
             load_ensemble(path)
 

@@ -95,6 +95,13 @@ class TestKernelForHeader:
         monkeypatch.delenv(KERNEL_ENV, raising=False)
         assert kernel_for_header("not-on-this-box").name == DEFAULT_KERNEL
 
+    def test_retired_numba_header_name_falls_back(self, monkeypatch):
+        """Old headers can name the numba backend this code no longer
+        carries; it is an unknown name like any other."""
+        monkeypatch.delenv(KERNEL_ENV, raising=False)
+        assert "numba" not in list_kernels()
+        assert kernel_for_header("numba").name == DEFAULT_KERNEL
+
     def test_missing_header_name_falls_back(self, monkeypatch):
         monkeypatch.delenv(KERNEL_ENV, raising=False)
         assert kernel_for_header(None).name == DEFAULT_KERNEL
@@ -103,13 +110,3 @@ class TestKernelForHeader:
         monkeypatch.delenv(KERNEL_ENV, raising=False)
         with pytest.raises(KeyError):
             kernel_for_header("python", "no-such-kernel")
-
-
-class TestNumbaOptional:
-    def test_numba_registered_iff_importable(self):
-        try:
-            import numba  # noqa: F401
-        except ImportError:
-            assert "numba" not in list_kernels()
-        else:
-            assert "numba" in list_kernels()

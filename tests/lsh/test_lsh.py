@@ -25,6 +25,10 @@ class TestConstruction:
         with pytest.raises(ValueError):
             MinHashLSH(num_perm=64, params=(32, 8))
 
+    def test_explicit_params_need_a_band(self):
+        with pytest.raises(ValueError, match="b must be positive"):
+            MinHashLSH(num_perm=64, params=(0, 8))
+
     def test_invalid_num_perm(self):
         with pytest.raises(ValueError):
             MinHashLSH(num_perm=1)

@@ -101,18 +101,6 @@ class TestPooledIndex:
         with pytest.raises(RuntimeError, match="empty"):
             PooledIndex(LSHEnsemble(num_perm=NUM_PERM), proc_pool)
 
-    def test_unregistered_backend_rejected(self, proc_pool):
-        from repro.lsh.storage import DictHashTableStorage
-
-        index, _ = _build_flat(40)
-        custom = LSHEnsemble(
-            num_perm=NUM_PERM, num_partitions=2,
-            storage_factory=lambda: DictHashTableStorage())
-        custom.index([(k, index.get_signature(k), index.size_of(k))
-                      for k in list(index.keys())[:40]])
-        with pytest.raises(ValueError, match="registered storage backend"):
-            PooledIndex(custom, proc_pool)
-
     def test_empty_batch(self, proc_pool):
         index, _ = _build_flat(60)
         pooled = PooledIndex(index, proc_pool)
