@@ -12,6 +12,12 @@ Also reported: the same comparison on a value-overlap corpus (hit-heavy
 candidates, like the accuracy experiments) and the sharded fan-out,
 where the thread pool amortises over the whole batch.
 
+A second, independent floor covers the ingest side of the same regime:
+the MinHash permutation kernel (:func:`repro.minhash.minhash.permuted_minima`)
+against the ``%`` expression it replaced, evaluated in the same process
+on the same seeded input — a ratio, so it does not depend on the
+runner's clock speed.
+
 Run directly (``python benchmarks/bench_batch_throughput.py``) or via
 pytest (``python -m pytest benchmarks/bench_batch_throughput.py``).
 """
@@ -33,6 +39,7 @@ from repro.core.ensemble import LSHEnsemble
 from repro.eval.reports import format_table
 from repro.minhash.batch import SignatureBatch
 from repro.minhash.generator import sample_signatures
+from repro.minhash.minhash import MAX_HASH, MERSENNE_PRIME, permuted_minima
 from repro.parallel.sharded import ShardedEnsemble
 
 BATCH_SIZES = (1, 10, 100, 1000)
@@ -41,6 +48,12 @@ NUM_PARTITIONS = 16
 NUM_SHARDS = 4
 CORPUS_SEED = 42
 MIN_SPEEDUP_AT_1000 = 3.0
+SKETCH_VALUES = 100_000
+SKETCH_DOMAIN_SIZE = 100
+# Elements per numpy pass of the reference: bulk()'s budget before the
+# kernel existed (also keeps the reference's three temporaries small).
+REFERENCE_SLAB_ELEMENTS = 8_000_000
+MIN_SKETCH_SPEEDUP = 2.0
 
 
 def _build_corpus(num_domains: int, num_perm: int, seed: int):
@@ -152,6 +165,44 @@ def run_benchmark(num_domains: int | None = None):
     return table + "\n\n" + sharded_note, speedups, all_equal
 
 
+def run_sketching_floor(num_perm: int = NUM_PERM):
+    """Return (report line, kernel speedup over the reference, equal)."""
+    rng = np.random.default_rng(CORPUS_SEED)
+    hashes = rng.integers(0, 1 << 32, size=SKETCH_VALUES, dtype=np.uint64)
+    a = rng.integers(1, int(MERSENNE_PRIME), size=num_perm, dtype=np.uint64)
+    b = rng.integers(0, int(MERSENNE_PRIME), size=num_perm, dtype=np.uint64)
+    starts = np.arange(0, SKETCH_VALUES, SKETCH_DOMAIN_SIZE, dtype=np.intp)
+
+    def reference():
+        rows = (REFERENCE_SLAB_ELEMENTS // num_perm
+                // SKETCH_DOMAIN_SIZE * SKETCH_DOMAIN_SIZE)
+        parts = []
+        for lo in range(0, SKETCH_VALUES, rows):
+            slab = hashes[lo:lo + rows]
+            permuted = ((slab[:, np.newaxis] * a + b)
+                        % MERSENNE_PRIME) & MAX_HASH
+            parts.append(np.minimum.reduceat(
+                permuted, starts[:slab.size // SKETCH_DOMAIN_SIZE], axis=0))
+        return np.vstack(parts)
+
+    def kernel():
+        out = np.full((starts.size, num_perm), MAX_HASH, dtype=np.uint64)
+        permuted_minima(hashes, starts, a, b, out)
+        return out
+
+    equal = bool(np.array_equal(kernel(), reference()))
+    t_reference = _best_of(reference)
+    t_kernel = _best_of(kernel)
+    speedup = t_reference / t_kernel
+    line = ("sketching (%d values in domains of %d, m = %d): reference %% "
+            "expression %.0f values/s, kernel %.0f values/s (%.2fx), "
+            "signatures equal: %s"
+            % (SKETCH_VALUES, SKETCH_DOMAIN_SIZE, num_perm,
+               SKETCH_VALUES / t_reference, SKETCH_VALUES / t_kernel,
+               speedup, "yes" if equal else "NO"))
+    return line, speedup, equal
+
+
 def test_batch_throughput_report():
     report, speedups, all_equal = run_benchmark()
     emit("batch_throughput", report)
@@ -161,8 +212,18 @@ def test_batch_throughput_report():
         % (speedups[1000], MIN_SPEEDUP_AT_1000))
 
 
+def test_sketching_kernel_floor():
+    line, speedup, equal = run_sketching_floor()
+    emit("sketching_kernel", line)
+    assert equal, "kernel signatures diverged from the % expression"
+    assert speedup >= MIN_SKETCH_SPEEDUP, (
+        "permutation kernel was %.2fx the %% expression, expected >= %.1fx"
+        % (speedup, MIN_SKETCH_SPEEDUP))
+
+
 if __name__ == "__main__":
     report, speedups, all_equal = run_benchmark()
     emit("batch_throughput", report)
     print("\nspeedups:", {n: "%.2fx" % s for n, s in speedups.items()})
     print("all results equal:", all_equal)
+    emit("sketching_kernel", run_sketching_floor()[0])

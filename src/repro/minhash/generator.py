@@ -8,10 +8,12 @@ Three distinct jobs live here:
   years, ...), so the cache removes most SHA1 work.
 
 * :class:`MinHashGenerator` extends the factory with :meth:`~MinHashGenerator.bulk`,
-  which permutes the value hashes of *many* domains in one numpy pass
-  (a flat value array reduced per-domain with ``np.minimum.reduceat``)
-  and returns a :class:`~repro.minhash.batch.SignatureBatch` — the input
-  of the batch query path.
+  which hands the value hashes of *many* domains, as one flat array, to
+  :func:`repro.minhash.minhash.permuted_minima` and returns a
+  :class:`~repro.minhash.batch.SignatureBatch` — the input of the batch
+  query path.  No permutation arithmetic lives in this module: the
+  kernel in ``minhash.py`` is the one place it is written (division-free,
+  exact because ``2^61 ≡ 1 mod 2^61 - 1``, cache-blocked; see there).
 
 * :func:`sample_signatures` draws *synthetic* signatures for domains of a
   given size without materialising any values.  For a random domain of size
@@ -25,14 +27,15 @@ Three distinct jobs live here:
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Collection, Iterable, Mapping, Sequence
+from itertools import chain
 
 import numpy as np
 
 from repro.minhash.batch import SignatureBatch
 from repro.minhash.hashfunc import MAX_HASH_32, hash_value32
 from repro.minhash.lean import LeanMinHash
-from repro.minhash.minhash import MAX_HASH, MERSENNE_PRIME, MinHash
+from repro.minhash.minhash import MAX_HASH, MinHash, permuted_minima
 
 __all__ = ["SignatureFactory", "MinHashGenerator", "build_signatures",
            "bulk_signatures", "sample_signatures"]
@@ -58,23 +61,23 @@ class SignatureFactory:
         self.hashfunc = hashfunc
         self._value_hash_cache: dict[object, int] = {}
 
-    def _hash_values(self, values: Iterable[object]) -> np.ndarray:
+    def _hash_values(self, values: Iterable[object]) -> list[int]:
         cache = self._value_hash_cache
-        out = []
-        for v in values:
-            hv = cache.get(v)
-            if hv is None:
-                hv = self.hashfunc(v)
-                cache[v] = hv
-            out.append(hv)
-        return np.asarray(out, dtype=np.uint64)
+        if not isinstance(values, Collection):
+            values = list(values)   # one-shot iterator: misses are revisited
+        # Hits cost one C-level pass; only misses are visited in Python.
+        hashes = list(map(cache.get, values))
+        if None in hashes:
+            for i, v in enumerate(values):
+                if hashes[i] is None:
+                    hashes[i] = cache[v] = self.hashfunc(v)
+        return hashes
 
     def minhash(self, values: Iterable[object]) -> MinHash:
         """Signature of one domain as a mutable :class:`MinHash`."""
         m = MinHash(num_perm=self.num_perm, seed=self.seed,
                     hashfunc=self.hashfunc)
-        hvs = self._hash_values(values)
-        m.update_hashvalues_batch(hvs)
+        m.update_hashvalues_batch(self._hash_values(values))
         return m
 
     def lean(self, values: Iterable[object]) -> LeanMinHash:
@@ -95,15 +98,11 @@ class MinHashGenerator(SignatureFactory):
     """A :class:`SignatureFactory` with a vectorised many-domains path.
 
     :meth:`bulk` produces bit-identical hash values to building one
-    :class:`~repro.minhash.minhash.MinHash` per domain (the permutation
-    arithmetic is the same uint64 expression, applied to a concatenation
-    of all domains' value hashes and min-reduced per domain), so callers
-    may mix the two construction styles freely.
+    :class:`~repro.minhash.minhash.MinHash` per domain (both run the one
+    kernel, :func:`~repro.minhash.minhash.permuted_minima`, here over a
+    concatenation of all domains' value hashes min-reduced per domain),
+    so callers may mix the two construction styles freely.
     """
-
-    # Budget for the (values, num_perm) permuted-hash matrix of one chunk;
-    # ~8M uint64 elements keeps the working set around 64 MB.
-    _CHUNK_ELEMENTS = 8_000_000
 
     def bulk(self, domains, keys: Sequence | None = None,
              chunk_elements: int | None = None) -> SignatureBatch:
@@ -118,8 +117,11 @@ class MinHashGenerator(SignatureFactory):
         keys:
             Explicit row keys when ``domains`` is not a mapping.
         chunk_elements:
-            Cap on the permuted-hash matrix size per numpy pass
-            (testing/tuning knob; the default suits laptops).
+            Cap on the elements of the permuted-hash block of one numpy
+            pass, and so on working memory: blocks are cut inside
+            domains, a domain longer than a block is folded block by
+            block (testing/tuning knob; the default keeps a block in
+            cache).
         """
         if isinstance(domains, Mapping):
             if keys is not None:
@@ -136,35 +138,21 @@ class MinHashGenerator(SignatureFactory):
                     % (len(keys), len(value_sets))
                 )
         hashed = [self._hash_values(values) for values in value_sets]
+        sizes = np.fromiter(map(len, hashed), dtype=np.intp,
+                            count=len(hashed))
         matrix = np.full((len(hashed), self.num_perm), MAX_HASH,
                          dtype=np.uint64)
-        a, b = self._permutations()
-        budget = int(chunk_elements or self._CHUNK_ELEMENTS)
-        per_chunk = max(1, budget // max(self.num_perm, 1))
-        # Walk domains in chunks whose total value count stays under the
-        # element budget; empty domains keep the all-MAX_HASH row, exactly
-        # like an un-updated MinHash.
-        row = 0
-        while row < len(hashed):
-            rows = [row]
-            total = hashed[row].size
-            nxt = row + 1
-            while nxt < len(hashed) and total + hashed[nxt].size <= per_chunk:
-                total += hashed[nxt].size
-                rows.append(nxt)
-                nxt += 1
-            nonempty = [j for j in rows if hashed[j].size]
-            if nonempty:
-                flat = np.concatenate([hashed[j] for j in nonempty])
-                # (values, m): permuted hash of every value under every
-                # hash function — the same expression MinHash applies.
-                phv = ((flat[:, np.newaxis] * a + b)
-                       % MERSENNE_PRIME) & MAX_HASH
-                starts = np.zeros(len(nonempty), dtype=np.intp)
-                np.cumsum([hashed[j].size for j in nonempty[:-1]],
-                          out=starts[1:])
-                matrix[nonempty] = np.minimum.reduceat(phv, starts, axis=0)
-            row = nxt
+        # Empty domains keep the all-MAX_HASH row, exactly like an
+        # un-updated MinHash; the kernel sees the others back to back.
+        nonempty = np.flatnonzero(sizes)
+        starts = np.zeros(nonempty.size, dtype=np.intp)
+        np.cumsum(sizes[nonempty[:-1]], out=starts[1:])
+        flat = np.fromiter(chain.from_iterable(hashed), dtype=np.uint64,
+                           count=int(sizes.sum()))
+        minima = matrix[nonempty]
+        permuted_minima(flat, starts, *self._permutations(), minima,
+                        chunk_elements)
+        matrix[nonempty] = minima
         return SignatureBatch(keys, matrix, seed=self.seed)
 
     def _permutations(self) -> tuple[np.ndarray, np.ndarray]:

@@ -3,8 +3,19 @@
 A :class:`MinHash` holds ``m`` minimum hash values, one per random
 permutation of the value universe.  Permutations are approximated with the
 standard universal-hash family ``h_i(v) = ((a_i * v + b_i) mod p) mod 2^32``
-over the Mersenne prime ``p = 2^61 - 1``; all ``m`` permutations are applied
-to a batch of values with one vectorised numpy expression.
+over the Mersenne prime ``p = 2^61 - 1``.
+
+That arithmetic lives in exactly one place, :func:`permuted_minima` below
+(with its reduction step :func:`_mod_mersenne_low32`); :meth:`MinHash.update`,
+:meth:`MinHash.update_hashvalues_batch` and
+:meth:`~repro.minhash.generator.MinHashGenerator.bulk` all call it, so every
+construction style yields the same bits.  The kernel never divides: because
+``2^61 ≡ 1 (mod p)``, a wrapped uint64 ``x = hi * 2^61 + lo`` satisfies
+``x ≡ lo + hi = (x & p) + (x >> 61)``, a value of at most ``p + 7`` that one
+conditional subtraction of ``p`` brings into ``[0, p)`` — the fold is exact,
+not an approximation of ``%``.  It walks its input in row blocks small enough
+for the ``(rows, m)`` working buffers to stay in cache, so working memory is
+O(block) however long a domain is.
 
 The estimator properties the rest of the system relies on:
 
@@ -25,7 +36,8 @@ import numpy as np
 
 from repro.minhash.hashfunc import MAX_HASH_32, hash_value32
 
-__all__ = ["MinHash", "MERSENNE_PRIME", "MAX_HASH", "HASH_RANGE"]
+__all__ = ["MinHash", "MERSENNE_PRIME", "MAX_HASH", "HASH_RANGE",
+           "permuted_minima"]
 
 # The Mersenne prime 2^61 - 1: large enough that (a * h + b) never collides
 # modulo p for 32-bit inputs, small enough for exact uint64 arithmetic via
@@ -35,6 +47,76 @@ MAX_HASH = np.uint64(MAX_HASH_32)
 HASH_RANGE = 1 << 32
 
 _DEFAULT_SEED = 1
+
+_SHIFT_61 = np.uint64(61)
+_ONE = np.uint64(1)
+# Elements of one (rows, m) block of permuted hashes: two 512 KB uint64
+# buffers sit inside a per-core L2 with room for the coefficient rows.
+_CHUNK_ELEMENTS = 1 << 16
+
+
+def _mod_mersenne_low32(x: np.ndarray, scratch: np.ndarray) -> None:
+    """In place, ``x <- (x mod (2^61 - 1)) & 0xFFFFFFFF`` without dividing.
+
+    ``x`` holds arbitrary (wrapped) uint64 values; ``scratch`` is a buffer
+    of the same shape whose contents are overwritten.
+    """
+    np.right_shift(x, _SHIFT_61, out=scratch)
+    np.bitwise_and(x, MERSENNE_PRIME, out=x)
+    np.add(x, scratch, out=x)            # y ≡ x (mod p), 0 <= y <= p + 7
+    np.add(x, _ONE, out=scratch)
+    np.right_shift(scratch, _SHIFT_61, out=scratch)   # 1 iff y >= p
+    # The conditional subtract: p ≡ -1 (mod 2^32), so the low 32 bits of
+    # y - p are those of y + 1, and the mask below keeps nothing else.
+    np.add(x, scratch, out=x)
+    np.bitwise_and(x, MAX_HASH, out=x)
+
+
+def permuted_minima(value_hashes: np.ndarray, starts: np.ndarray,
+                    a: np.ndarray, b: np.ndarray, out: np.ndarray,
+                    chunk_elements: int | None = None) -> None:
+    """Fold the permuted hashes of segmented values into ``out``, in place.
+
+    Row ``j`` of ``out`` becomes the element-wise minimum of itself and of
+    ``((h * a + b) mod 2^64 mod p) & MAX_HASH`` over every ``h`` in segment
+    ``j`` of ``value_hashes``.
+
+    Parameters
+    ----------
+    value_hashes:
+        Flat uint64 array: the value hashes of all segments, concatenated.
+    starts:
+        Offset of each segment's first value: strictly increasing (no
+        empty segment), ``starts[0] == 0``, signed integer dtype.
+    a, b:
+        The ``(m,)`` permutation coefficients.
+    out:
+        ``(len(starts), m)`` uint64 array of running minima.
+    chunk_elements:
+        Cap on the elements of one permuted block; blocks are cut by rows
+        wherever they fall, a segment that straddles two is folded twice.
+    """
+    n = value_hashes.size
+    if n == 0:
+        return
+    rows = min(n, max(1, int(chunk_elements or _CHUNK_ELEMENTS) // a.size))
+    x = np.empty((rows, a.size), dtype=np.uint64)
+    scratch = np.empty_like(x)
+    los = np.arange(0, n, rows)
+    # Segments [first, last) overlap block [lo, lo + rows).
+    firsts = starts.searchsorted(los, side="right") - 1
+    lasts = starts.searchsorted(los + rows, side="left")
+    for lo, first, last in zip(los.tolist(), firsts.tolist(),
+                               lasts.tolist()):
+        block = value_hashes[lo:lo + rows]
+        xb, sb = x[:block.size], scratch[:block.size]
+        np.multiply(block[:, np.newaxis], a, out=xb)
+        np.add(xb, b, out=xb)
+        _mod_mersenne_low32(xb, sb)
+        cuts = starts[first:last] - lo
+        cuts[0] = 0     # the first segment may have begun in an earlier block
+        minima = out[first:last]
+        np.minimum(minima, np.minimum.reduceat(xb, cuts, axis=0), out=minima)
 
 
 def _init_permutations(num_perm: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
@@ -106,23 +188,17 @@ class MinHash:
 
     def update(self, value: object) -> None:
         """Fold one domain value into the signature."""
-        hv = np.uint64(self.hashfunc(value))
-        phv = ((hv * self._a + self._b) % MERSENNE_PRIME) & MAX_HASH
-        np.minimum(self.hashvalues, phv, out=self.hashvalues)
+        self.update_hashvalues_batch([self.hashfunc(value)])
 
     def update_batch(self, values: Iterable[object]) -> None:
         """Fold many domain values into the signature (vectorised).
 
         One permutation pass over an ``(n,)`` array of value hashes updates
-        all ``m`` hash functions at once; this is the fast path used by the
-        corpus indexer.
+        all ``m`` hash functions at once.
         """
-        hvs = np.fromiter(
+        self.update_hashvalues_batch(np.fromiter(
             (self.hashfunc(v) for v in values), dtype=np.uint64, count=-1
-        )
-        if hvs.size == 0:
-            return
-        self.update_hashvalues_batch(hvs)
+        ))
 
     def update_hashvalues_batch(self, value_hashes: np.ndarray) -> None:
         """Fold pre-hashed 32-bit values into the signature.
@@ -130,12 +206,9 @@ class MinHash:
         Splitting value hashing from permutation lets the corpus pipeline
         hash each distinct value once and reuse it across signatures.
         """
-        hvs = np.asarray(value_hashes, dtype=np.uint64)
-        if hvs.size == 0:
-            return
-        # shape (n, m): permuted hash of every value under every function.
-        phv = ((hvs[:, np.newaxis] * self._a + self._b) % MERSENNE_PRIME) & MAX_HASH
-        np.minimum(self.hashvalues, phv.min(axis=0), out=self.hashvalues)
+        permuted_minima(np.asarray(value_hashes, dtype=np.uint64),
+                        np.zeros(1, dtype=np.intp), self._a, self._b,
+                        self.hashvalues[np.newaxis, :])
 
     # ------------------------------------------------------------------ #
     # Estimators

@@ -67,6 +67,7 @@ import numpy as np
 
 from repro.minhash.generator import SignatureFactory
 from repro.minhash.lean import LeanMinHash
+from repro.minhash.minhash import MinHash
 from repro.serve.cache import MISS, ResultCache
 from repro.serve.coalescer import MicroBatchCoalescer, OverloadedError
 from repro.serve.engine import ServingEngine
@@ -490,7 +491,11 @@ class QueryServer:
             except TypeError:
                 raise RequestError(
                     "values must be hashable (strings or numbers)")
-            lean = self._factory.lean(distinct)
+            # Not through the factory: its value-hash cache would keep
+            # every value any client ever sent for the life of the server.
+            lean = LeanMinHash(MinHash.from_values(
+                distinct, num_perm=self._factory.num_perm,
+                seed=self._factory.seed))
             size = len(distinct)
         else:
             raise RequestError(

@@ -119,18 +119,28 @@ class TestCoalescing:
             coalescer = MicroBatchCoalescer(
                 _recording_dispatch(log), max_batch=8,
                 window_seconds=0.2)
-            first = asyncio.ensure_future(
-                coalescer.submit(("a",), "a1"))
-            # Group "b" opens at ~0.75 of group "a"'s window...
-            await asyncio.sleep(0.15)
-            second = asyncio.ensure_future(
-                coalescer.submit(("b",), "b1"))
-            # ...and its second query arrives after "a"'s deadline but
-            # well inside "b"'s own window.
-            await asyncio.sleep(0.1)
-            third = asyncio.ensure_future(
-                coalescer.submit(("b",), "b2"))
-            await asyncio.gather(first, second, third)
+            loop = asyncio.get_running_loop()
+            tasks = []
+            all_submitted = asyncio.Event()
+
+            def submit(group_key, payload):
+                tasks.append(loop.create_task(
+                    coalescer.submit(group_key, payload)))
+                if len(tasks) == 3:
+                    all_submitted.set()
+
+            # Loop timers at absolute deadlines, not chained sleeps:
+            # they fire in deadline order however late the loop wakes,
+            # and lateness of one submit never eats the next one's
+            # slack.  Group "b" opens at 0.75 of group "a"'s window; its
+            # second query is due after "a"'s deadline (t0 + 0.2) and
+            # before "b"'s own, which is never earlier than t0 + 0.35.
+            t0 = loop.time()
+            loop.call_at(t0, submit, ("a",), "a1")
+            loop.call_at(t0 + 0.15, submit, ("b",), "b1")
+            loop.call_at(t0 + 0.25, submit, ("b",), "b2")
+            await all_submitted.wait()
+            await asyncio.gather(*tasks)
             await coalescer.aclose()
 
         run(main())

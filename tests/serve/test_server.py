@@ -204,6 +204,18 @@ class TestHttpErrors:
         assert status == 200
         assert "d3" in body["results"][0]
 
+    def test_values_payloads_leave_no_per_value_state(self, index):
+        """The server lives for weeks: a value a client sent once must
+        not stay in its signature factory's value-hash cache."""
+        with start_in_thread(index, cache_size=0) as handle:
+            for i in range(200):
+                status, _ = _request(
+                    handle.port, "POST", "/query",
+                    {"queries": [{"values": ["fresh%d_%d" % (i, j)
+                                             for j in range(5)]}]})
+                assert status == 200
+            assert handle.server._factory.cache_size() == 0
+
     def test_request_query_cap(self, index):
         from repro.serve.server import MAX_QUERIES_PER_REQUEST
 
