@@ -38,34 +38,11 @@ class StaticParamEnsemble(LSHEnsemble):
         self._pinned_threshold = float(pinned_threshold)
         self._pinned_query_size = int(pinned_query_size)
 
-    def query_with_report(self, signature, size=None, threshold=None):
-        # Freeze the tuner inputs; everything else is inherited.
-        from repro.core.ensemble import PartitionQueryReport
-        from repro.minhash.batch import as_lean
-
-        results = set()
-        reports = []
-        lean = as_lean(signature)
-        q = int(size) if size is not None else max(1, lean.count())
-        t_star = self.threshold if threshold is None else float(threshold)
-        for partition, forest in zip(self._partitions, self._forests):
-            u = partition.upper - 1
-            if forest.is_empty():
-                reports.append(PartitionQueryReport(partition, None, 0,
-                                                    True))
-                continue
-            if t_star > 0 and u < t_star * q:
-                reports.append(PartitionQueryReport(partition, None, 0,
-                                                    True))
-                continue
-            tuning = tune_params(u, self._pinned_query_size,
-                                 self._pinned_threshold, self.num_trees,
-                                 self.max_depth, self.num_perm)
-            found = forest.query(lean, tuning.b, tuning.r)
-            results |= found
-            reports.append(PartitionQueryReport(partition, tuning,
-                                                len(found), False))
-        return results, reports
+    def _tune(self, u, q, t_star):
+        # Freeze the tuner's inputs; pruning and probing are inherited.
+        return tune_params(u, self._pinned_query_size,
+                           self._pinned_threshold, self.num_trees,
+                           self.max_depth, self.num_perm)
 
 
 @pytest.fixture(scope="module")

@@ -7,8 +7,8 @@ builds a 1M-domain synthetic index from streamed signature blocks
 staging memory), saves it once, then measures each registered kernel
 backend in its own fresh subprocess: the child reloads the snapshot
 under that backend and times batched query throughput against a clean
-address space (the builder's heap, after hundreds of seconds of dict
-churn, would otherwise tax the backends unevenly).
+address space (the builder's heap, after a long build, would otherwise
+tax the backends unevenly).
 
 The roofline framing: a query's lower bound is the bytes it must move
 (query bands read and hashed, stored-hash probe structures looked up),
@@ -108,9 +108,9 @@ def _query_sample(n: int) -> tuple[SignatureBatch, list[int]]:
 
 def _time_query_batch(index, batch: SignatureBatch,
                       sizes: list[int]) -> tuple[float, list[set]]:
-    # Warm with the identical batch: the first pass materialises the
-    # lazy per-depth tables and probe structures for every (partition,
-    # depth) the tuner picks, and the second lets the core clock ramp,
+    # Warm with the identical batch: the first pass builds the lazy
+    # per-depth buckets and probe structures for every depth the tuner
+    # picks, and the second lets the core clock ramp,
     # so the timed passes measure steady-state probing rather than
     # one-time construction.  Best of three timed passes — single-pass
     # numbers on a shared box swing 2x with scheduler noise, and the
@@ -178,7 +178,7 @@ def _measure_worker(name: str, path: Path) -> dict:
     of wall clock) must not land inside a timed query window.
     """
     index = load_ensemble(path, kernel=name)
-    n = PY_QUERIES if not index.kernel.vectorized else NUM_QUERIES
+    n = PY_QUERIES if name == "python" else NUM_QUERIES
     batch, sizes = _query_sample(NUM_QUERIES)
     sub = SignatureBatch(None, batch.matrix[:n], seed=batch.seed)
     gc.collect()
@@ -190,7 +190,6 @@ def _measure_worker(name: str, path: Path) -> dict:
     return {
         "queries": n,
         "seconds": seconds,
-        "vectorized": index.kernel.vectorized,
         "bytes_per_query": _bytes_per_query(index),
         "fingerprint": _result_fingerprint(results[:min(PY_QUERIES, n)]),
     }
@@ -200,9 +199,8 @@ def _measure_in_subprocess(name: str, path: Path) -> dict:
     """Run :func:`_measure_worker` for ``name`` in a clean process.
 
     The builder's address space is hostile to measurement at 1M
-    domains: hundreds of seconds of dict churn leave a fragmented heap
-    whose TLB/collector overheads tax the gather-heavy backends far
-    more than the pointer-chasing reference, skewing the very ratio
+    domains: a long build leaves a fragmented heap whose TLB/collector
+    overheads can tax the backends unevenly, skewing the very ratio
     this benchmark asserts.  A fresh process per backend measures each
     against the same clean baseline — the snapshot on disk.
     """
@@ -245,7 +243,6 @@ def run_benchmark() -> dict:
                 "bytes_per_query": bytes_per_query,
                 "roofline_ceiling_qps": ceiling_qps,
                 "roofline_fraction": qps / ceiling_qps,
-                "vectorized": measured["vectorized"],
             }
             fingerprints[name] = measured["fingerprint"]
         for name, stats in kernels.items():

@@ -32,8 +32,7 @@ from repro.core import (
     rank_candidates,
 )
 from repro.exact import InvertedIndex
-from repro.forest import MinHashLSHForest, PrefixForest
-from repro.join import JoinCandidate, JoinDiscovery
+from repro.forest import PrefixForest
 from repro.lsh import MinHashLSH
 from repro.minhash import (
     BottomKSketch,
@@ -65,7 +64,6 @@ __all__ = [
     "SignatureBatch",
     "MinHashLSH",
     "PrefixForest",
-    "MinHashLSHForest",
     "AsymmetricMinHashLSH",
     "InvertedIndex",
     "ShardedEnsemble",
@@ -83,8 +81,6 @@ __all__ = [
     "read_header",
     "FormatError",
     "register_partitioner",
-    "JoinDiscovery",
-    "JoinCandidate",
     "QueryServer",
     "start_in_thread",
     "__version__",

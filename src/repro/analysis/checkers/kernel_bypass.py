@@ -14,8 +14,8 @@ accelerate it.
 Inside ``repro/`` (excluding ``repro/kernels/`` itself, which *is* the
 registry) this rule flags:
 
-* any call to ``fnv1a_lanes`` — resolved through import aliases, so the
-  back-compat re-export via ``repro.lsh.storage`` is caught too; use
+* any call to ``fnv1a_lanes`` — resolved through import aliases, so a
+  re-export through another module is caught too; use
   ``kernel.band_hash`` instead;
 * ``searchsorted`` / ``bisect.bisect*`` calls inside the probe-path
   packages (``repro/lsh/``, ``repro/forest/``) — use ``kernel.probe``.
@@ -43,7 +43,6 @@ RULE = "RL006"
 FNV1A_ORIGINS = frozenset({
     "repro.kernels.fnv1a_lanes",
     "repro.kernels.numpy_impl.fnv1a_lanes",
-    "repro.lsh.storage.fnv1a_lanes",
 })
 
 #: Packages whose binary searches are, by construction, probe loops.

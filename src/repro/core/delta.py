@@ -24,11 +24,11 @@ post-build writes into a small *self-partitioned* side index:
   scratch through the vectorised bulk path.
 
 The tier intentionally reuses ``LSHEnsemble`` for its inner index, so
-every vectorised query path (``query_batch`` grouping, forest probe
-prefilter) applies to delta probes unchanged.  The inner index is kept
-*physically clean* — inserts and removes go through the base-tier
-routing primitives, never through the inner index's own delta — so a
-flushed tier serialises as a plain columnar segment.
+the one query plan and bucket layout apply to delta probes unchanged.
+The inner index is kept *physically clean* — top-ups and removes go
+through the base-tier fill and physical-removal primitives (each
+rebuilds the small inner layout), never through the inner index's own
+delta — so a flushed tier serialises as a plain columnar segment.
 
 Concurrency: queries are no longer pure reads (the first one after a
 write flushes, and a flush may top up the inner index *in place*), so
@@ -36,16 +36,15 @@ every delta operation — mutation, flush, and the inner probe itself —
 serialises on one internal lock.  Concurrent *queries* are therefore
 always safe, even immediately after writes (they block on the in-flight
 flush instead of observing a half-built tier), and a flush that raises
-leaves the staged entries intact for the next attempt.  Only the small
-delta tier serialises; base-tier probes (the bulk of query work) remain
-lock-free, and each shard of a
-:class:`~repro.parallel.sharded.ShardedEnsemble` owns its own tier, so
-cross-shard parallelism is unaffected.  The ensemble's base-adjacent
-state (tombstone set, partition swaps) is guarded one level up: every
-public mutator and query entry point of
-:class:`~repro.core.ensemble.LSHEnsemble` serialises on the ensemble's
-own reentrant lock, so mutations and ``rebalance`` are safe to run
-concurrently with queries without external coordination.
+leaves the staged entries intact for the next attempt.  This lock is
+not what serialises queries, though: every public mutator and query
+entry point of :class:`~repro.core.ensemble.LSHEnsemble` holds the
+ensemble's own reentrant lock for its whole duration — base-tier probe
+included — so one index answers one query at a time, and mutations and
+``rebalance`` are safe to run concurrently with queries without
+external coordination.  Each shard of a
+:class:`~repro.parallel.sharded.ShardedEnsemble` owns its own index,
+lock and tier, so shards still probe in parallel.
 """
 
 from __future__ import annotations
@@ -171,7 +170,7 @@ class DeltaTier:
             self._index = index
 
     def materialize(self) -> None:
-        """Flush and warm every inner bucket table."""
+        """Flush, and build every depth of the inner index now."""
         if not self._entries:
             return
         with self._lock:

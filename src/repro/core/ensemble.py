@@ -1,8 +1,9 @@
 """LSH Ensemble — the paper's primary contribution (Section 5).
 
 The index partitions domains by cardinality and keeps one dynamic LSH
-(:class:`~repro.forest.prefix_forest.PrefixForest`) per partition.  A
-containment query ``(Q, t*)`` is answered per partition (Algorithm 1):
+(an LSH Forest of prefix trees, see :mod:`repro.forest.prefix_forest`)
+per partition.  A containment query ``(Q, t*)`` is answered per
+partition (Algorithm 1):
 
 1. estimate the query size ``q`` from its signature (``approx(|Q|)``);
 2. convert ``t*`` to that partition's conservative Jaccard threshold using
@@ -15,6 +16,12 @@ and the union of the partition results is returned
 (``Partitioned-Containment-Search``).  Partitions whose largest possible
 containment ``u_i / q`` is below ``t*`` cannot hold a true positive and
 are pruned outright.
+
+All partitions' forests are one
+:class:`~repro.forest.layout.BucketLayout` over the partition-major
+signature matrix (trees numbered per partition), so a batch is planned
+to its per-(query, partition) ``(b, r)`` first and then probed once per
+distinct ``r`` across every partition.
 
 Dynamic lifecycle (two-tier LSM-style mutation path)
 ----------------------------------------------------
@@ -71,9 +78,10 @@ from repro.core.tuning import (
     ratio_buckets,
     tune_params_quantized,
 )
-from repro.forest.prefix_forest import PrefixForest, default_forest_shape
-from repro.kernels import get_kernel, validate_bbit
-from repro.minhash.batch import as_lean
+from repro.forest.layout import BucketLayout
+from repro.forest.prefix_forest import default_forest_shape
+from repro.kernels import band_dtype, get_kernel, validate_bbit
+from repro.minhash.batch import as_lean, prepare_bulk_insert
 from repro.minhash.lean import LeanMinHash
 from repro.minhash.minhash import MinHash
 from repro.stats.skewness import skewness_from_sums
@@ -199,12 +207,15 @@ class LSHEnsemble(QuerySurface):
         self._kernel = get_kernel(kernel)
         self.bbit = validate_bbit(bbit)
         self._partitions: list[Partition] = []
-        self._forests: list[PrefixForest] = []
-        # Keys *physically* present in the base-tier forests, including
+        # The base tier's buckets; None until the index is built.
+        self._layout: BucketLayout | None = None
+        # Keys *physically* present in the base tier, including
         # tombstoned ones (the base tier is immutable after the build;
-        # removal is logical).  The live key set is
+        # removal is logical), with their sizes and signatures (rows of
+        # the layout's matrix, in its order).  The live key set is
         # (base - tombstones) | delta.
         self._sizes: dict[Hashable, int] = {}
+        self._signatures: dict[Hashable, LeanMinHash] = {}
         # Largest *live* true size routed into each partition.  Sizes
         # clamped at build time (explicit partitions narrower than the
         # data) can exceed the partition's nominal upper bound; queries
@@ -287,7 +298,7 @@ class LSHEnsemble(QuerySurface):
         # Building swaps in the base structures the query paths walk,
         # so it serialises on the same lock as every other mutator.
         with self._lock:
-            if self._forests:
+            if self._layout is not None:
                 raise RuntimeError(
                     "index() may only be called on an empty index")
             if partitions is not None:
@@ -303,34 +314,25 @@ class LSHEnsemble(QuerySurface):
                         raise ValueError(
                             "key %r is already in the index" % (key,))
                     seen.add(key)
-            self._forests = self._empty_forests()
             self._partition_max_size = [0] * len(self._partitions)
             self._bulk_fill_locked(keys, sizes, matrix, seeds)
-            # A fresh build is served immediately: pay the bucket fill
-            # now (still one vectorised pass per depth) rather than on
-            # the first queries.  Loaded snapshots stay lazy — see
-            # _restore_columnar_locked.
+            # A fresh build is served immediately: build every depth's
+            # buckets now rather than on the first queries.  Loaded
+            # snapshots stay lazy — see _restore_columnar_locked.
             self.materialize()
 
     def materialize(self) -> None:
-        """Fill any lazily pending bucket tables in every partition.
+        """Build the buckets of every depth now, in both tiers.
 
-        After :func:`~repro.persistence.load_ensemble`, bucket tables
-        materialise per depth as queries first reach them; call this to
-        warm the whole index up front instead (e.g. before putting a
-        replica into rotation).
+        After :func:`~repro.persistence.load_ensemble` each depth is
+        built the first time a query reaches it; call this to pay the
+        whole cost up front instead (e.g. before putting a replica into
+        rotation).  Idempotent.
         """
-        for forest in self._forests:
-            forest.materialize()
+        if self._layout is not None:
+            self._layout.materialize()
         if self._delta is not None:
             self._delta.materialize()
-
-    def _empty_forests(self) -> list[PrefixForest]:
-        """One empty forest per current partition (build, columnar
-        restore and rebalance all start from this)."""
-        return [PrefixForest(self.num_perm, self.num_trees, self.max_depth,
-                             kernel=self._kernel, bbit=self.bbit)
-                for _ in self._partitions]
 
     def _assign_partitions(self, clamped: np.ndarray) -> np.ndarray:
         """Partition index per (already clamped) size, vectorised."""
@@ -349,54 +351,81 @@ class LSHEnsemble(QuerySurface):
             (assign_partition(int(c), parts) for c in clamped),
             dtype=np.intp, count=len(clamped))
 
-    def _bulk_fill_locked(self, keys: list, sizes: list[int], matrix: np.ndarray,
-                   seeds: np.ndarray, initial: bool = True) -> None:
-        """Group rows by partition and bulk-insert each group's block.
+    def _bulk_fill_locked(self, keys: list, sizes: list[int],
+                          matrix: np.ndarray, seeds: np.ndarray,
+                          initial: bool = True) -> None:
+        """Route rows to partitions and lay the base tier out over them.
 
-        ``initial=True`` (a build/restore/rebalance) seeds the drift
-        monitor from this fill; ``initial=False`` (the delta tier's
-        vectorised top-up flush) adds the rows to existing forests and
-        folds them into the monitor incrementally.  Callers own key
+        ``initial=True`` (a build or rebalance) makes these rows the
+        whole base tier and seeds the drift monitor from them;
+        ``initial=False`` (the delta tier's vectorised top-up flush)
+        adds them to the rows already there — the layout is immutable,
+        so it is rebuilt over old and new rows together — and folds
+        them into the monitor incrementally.  Callers own key
         deduplication against the existing contents.
         """
         parts = self._partitions
         sizes_arr = np.asarray(sizes, dtype=np.int64)
-        clamped = np.clip(sizes_arr, parts[0].lower, parts[-1].upper - 1)
-        idx = self._assign_partitions(clamped)
-        order = np.argsort(idx, kind="stable")
-        order_list = order.tolist()
-        ordered = matrix[order]
-        ordered.setflags(write=False)
-        keys_o = [keys[j] for j in order_list]
-        sizes_o = sizes_arr[order]
-        seeds_o = seeds[order]
-        # Signatures of one build usually share a seed; collapsing to a
-        # scalar skips a per-row int() in the forest wrap loop.
-        shared_seed = (int(seeds_o[0])
-                       if bool((seeds_o == seeds_o[0]).all()) else None)
+        idx = self._assign_partitions(
+            np.clip(sizes_arr, parts[0].lower, parts[-1].upper - 1))
+        peaks = np.zeros(len(parts), dtype=np.int64)
+        np.maximum.at(peaks, idx, sizes_arr)
+        self._partition_max_size = [
+            max(have, peak) for have, peak
+            in zip(self._partition_max_size, peaks.tolist())]
         counts = np.bincount(idx, minlength=len(parts)).tolist()
-        off = 0
-        for i, count in enumerate(counts):
-            if count:
-                block_seeds = (shared_seed if shared_seed is not None
-                               else seeds_o[off:off + count])
-                self._forests[i].insert_batch(
-                    keys_o[off:off + count], ordered[off:off + count],
-                    block_seeds)
-                peak = int(sizes_o[off:off + count].max())
-                if peak > self._partition_max_size[i]:
-                    self._partition_max_size[i] = peak
-            off += count
         self._sizes.update(zip(keys, sizes))
         if initial:
+            self._install_base_locked(keys, matrix, seeds, idx)
             self._init_drift_state(counts, sizes)
-        else:
-            for i, count in enumerate(counts):
-                self._base_live_counts[i] += int(count)
-            added = self._moments_of(sizes)
-            self._moments = [have + new for have, new
-                             in zip(self._moments, added)]
-            self._base_source = None
+            return
+        held = self._signatures
+        self._install_base_locked(
+            list(held) + list(keys),
+            np.concatenate((self._layout.matrix, matrix)),
+            np.concatenate((np.fromiter((s.seed for s in held.values()),
+                                        dtype=np.int64, count=len(held)),
+                            seeds)),
+            np.concatenate((np.repeat(np.arange(len(parts)),
+                                      self._layout.partition_rows), idx)))
+        for i, count in enumerate(counts):
+            self._base_live_counts[i] += count
+        added = self._moments_of(sizes)
+        self._moments = [have + new for have, new
+                         in zip(self._moments, added)]
+        self._base_source = None
+
+    def _install_base_locked(self, keys: list, matrix: np.ndarray,
+                             seeds: np.ndarray, idx: np.ndarray) -> None:
+        """Make these rows the base tier, ordered partition-major
+        (``idx`` names each row's partition; stable within one)."""
+        order = np.argsort(idx, kind="stable")
+        seeds = seeds[order]
+        # Signatures of one build usually share a seed; collapsing to a
+        # scalar skips a per-row int() in the signature wrap loop.
+        if seeds.size and bool((seeds == seeds[0]).all()):
+            seeds = int(seeds[0])
+        self._set_base_locked(
+            [keys[j] for j in order.tolist()], matrix[order], seeds,
+            np.bincount(idx, minlength=len(self._partitions)))
+
+    def _set_base_locked(self, keys: list, matrix: np.ndarray, seeds,
+                         partition_rows) -> None:
+        """Base tier := ``matrix`` (rows already partition-major,
+        ``partition_rows`` per partition): every row wrapped as a
+        zero-copy signature (a read-only matrix — e.g. a memory-mapped
+        snapshot — is aliased, never copied) and a fresh layout whose
+        depths are built on first use."""
+        keys, matrix, signatures = prepare_bulk_insert(
+            keys, matrix, seeds, self.num_perm, None, "index")
+        self._signatures = dict(zip(keys, signatures))
+        self._layout = self._new_layout(matrix, keys, partition_rows)
+
+    def _new_layout(self, matrix: np.ndarray, keys: list,
+                    partition_rows) -> BucketLayout:
+        return BucketLayout(matrix, keys, self.num_trees, self.max_depth,
+                            self._kernel, band_dtype(self.bbit),
+                            partition_rows)
 
     def _init_drift_state(self, counts: list[int],
                           sizes: Iterable[int]) -> None:
@@ -430,36 +459,29 @@ class LSHEnsemble(QuerySurface):
         m[2] += sign * sq
         m[3] += sign * sq * s
 
-    def _restore_columnar_locked(self, partitions: Sequence[Partition], keys: list,
-                          sizes: list[int], matrix: np.ndarray,
-                          seeds, partition_rows: Sequence[int],
-                          partition_max_size: Sequence[int]) -> None:
+    def _restore_columnar_locked(self, partitions: Sequence[Partition],
+                                 keys: list, sizes: list[int],
+                                 matrix: np.ndarray, seeds,
+                                 partition_rows: Sequence[int],
+                                 partition_max_size: Sequence[int]) -> None:
         """Rebuild from a columnar snapshot (persistence format v2).
 
         ``matrix`` rows must already be ordered partition-major with
-        ``partition_rows[i]`` rows per partition, so every partition's
-        block is a contiguous zero-copy slice (possibly of a memmap).
-        ``partition_max_size`` is restored verbatim — it can exceed what
-        the stored sizes imply when the saved index had its largest
-        domains removed, and queries must stay conservative about that.
+        ``partition_rows[i]`` rows per partition; it becomes the base
+        tier as is (a memmap stays mapped, and no depth is built until
+        a query reaches it).  ``partition_max_size`` is restored
+        verbatim — it can exceed what the stored sizes imply when the
+        saved index had its largest domains removed, and queries must
+        stay conservative about that.
         """
-        if self._forests:
+        if self._layout is not None:
             raise RuntimeError(
                 "restore requires an empty index; this one is built")
         if len(set(keys)) != len(keys):
             raise ValueError("duplicate keys in snapshot")
         self._partitions = list(partitions)
-        self._forests = self._empty_forests()
         self._partition_max_size = [int(m) for m in partition_max_size]
-        scalar_seeds = np.ndim(seeds) == 0
-        off = 0
-        for i, count in enumerate(partition_rows):
-            count = int(count)
-            if count:
-                self._forests[i].insert_batch(
-                    keys[off:off + count], matrix[off:off + count],
-                    seeds if scalar_seeds else seeds[off:off + count])
-            off += count
+        self._set_base_locked(list(keys), matrix, seeds, partition_rows)
         sizes = [int(s) for s in sizes]
         self._sizes.update(zip(keys, sizes))
         self._init_drift_state(list(partition_rows), sizes)
@@ -475,7 +497,7 @@ class LSHEnsemble(QuerySurface):
         boundary partitions.  :meth:`rebalance` later folds the delta
         into a freshly partitioned base.
         """
-        if not self._forests:
+        if self._layout is None:
             raise RuntimeError("call index() before insert()")
         if size < 1:
             raise ValueError("domain size must be >= 1")
@@ -517,30 +539,22 @@ class LSHEnsemble(QuerySurface):
                       self._partitions[-1].upper - 1)
         return assign_partition(clamped, self._partitions)
 
-    def _route_locked(self, key: Hashable, signature: MinHash | LeanMinHash,
-               size: int) -> None:
-        """Physically insert into the base-tier forests (build-time
-        routing; used by the delta tier's inner index, never by public
-        :meth:`insert`)."""
-        if key in self._sizes:
-            raise ValueError("key %r is already in the index" % (key,))
-        i = self._route_index(size)
-        self._forests[i].insert(key, as_lean(signature))
-        self._sizes[key] = size
-        if size > self._partition_max_size[i]:
-            self._partition_max_size[i] = size
-        self._base_live_counts[i] += 1
-        self._track_size(size, +1)
-        self._base_source = None
-
     def _remove_physical_locked(self, key: Hashable) -> None:
-        """Physically remove from the base-tier forests (delta inner
-        index only — the public :meth:`remove` tombstones instead)."""
+        """Physically remove from the base tier (delta inner index only —
+        the public :meth:`remove` tombstones instead); the layout is
+        rebuilt without the row."""
         size = self._sizes.pop(key, None)
         if size is None:
             raise KeyError(key)
         i = self._route_index(size)
-        self._forests[i].remove(key)
+        keys = list(self._signatures)  # layout row order
+        row = keys.index(key)
+        del keys[row], self._signatures[key]
+        partition_rows = list(self._layout.partition_rows)
+        partition_rows[i] -= 1
+        self._layout = self._new_layout(
+            np.delete(self._layout.matrix, row, axis=0), keys,
+            partition_rows)
         self._base_live_counts[i] -= 1
         self._track_size(size, -1)
         if size >= self._partition_max_size[i]:
@@ -553,10 +567,9 @@ class LSHEnsemble(QuerySurface):
         """Remove a domain from the index.
 
         Delta-tier entries are dropped outright; base-tier keys get a
-        tombstone (the columnar base stays untouched — crucially, this
-        no longer forces lazily loaded bucket tables to materialise).
-        Tombstoned keys are filtered out of every query and reclaimed by
-        :meth:`rebalance`.
+        tombstone (the base layout stays untouched, and no depth of it
+        is built).  Tombstoned keys are filtered out of every query and
+        reclaimed by :meth:`rebalance`.
         """
         with self._lock:
             if self._delta is not None and key in self._delta:
@@ -642,7 +655,7 @@ class LSHEnsemble(QuerySurface):
             return self._drift_stats_locked()
 
     def _drift_stats_locked(self) -> dict:
-        if not self._forests:
+        if self._layout is None:
             raise RuntimeError("the index is empty; call index() first")
         counts = [b + d for b, d in zip(self._base_live_counts,
                                         self._delta_routed_counts)]
@@ -714,7 +727,7 @@ class LSHEnsemble(QuerySurface):
         Returns a summary dict (timings, tier sizes folded in, drift
         before/after) and bumps ``generation``.
         """
-        if not self._forests:
+        if self._layout is None:
             raise RuntimeError("the index is empty; call index() first")
         n = len(self)
         if n == 0:
@@ -733,8 +746,7 @@ class LSHEnsemble(QuerySurface):
         for key, size in self._sizes.items():
             if key in tombstones:
                 continue
-            signature = self._forests[
-                self._route_index(size)].get_signature(key)
+            signature = self._signatures[key]
             matrix[row] = signature.hashvalues
             seeds[row] = signature.seed
             keys.append(key)
@@ -753,7 +765,6 @@ class LSHEnsemble(QuerySurface):
             self.num_partitions = int(num_partitions)
         partitions = self._partitioner(sizes, self.num_partitions)
         self._partitions = list(partitions)
-        self._forests = self._empty_forests()
         self._partition_max_size = [0] * len(self._partitions)
         self._live_max_dirty = False
         self._sizes = {}
@@ -888,7 +899,7 @@ class LSHEnsemble(QuerySurface):
                                   threshold: float | None = None,
                                   ) -> tuple[set,
                                              list[PartitionQueryReport]]:
-        if not self._forests:
+        if self._layout is None:
             raise RuntimeError("the index is empty; call index() first")
         lean = as_lean(signature)
         t_star = self.threshold if threshold is None else float(threshold)
@@ -897,26 +908,32 @@ class LSHEnsemble(QuerySurface):
         q = int(size) if size is not None else max(1, lean.count())
         if q < 1:
             raise ValueError("query size must be >= 1")
+        if lean.num_perm != self.num_perm:
+            raise ValueError(
+                "signature num_perm %d does not match index num_perm %d"
+                % (lean.num_perm, self.num_perm)
+            )
         self._resolve_live_max_locked()
         tombstones = self._tombstones
+        layout = self._layout
+        query = lean.hashvalues[None, :]
         results: set = set()
         reports: list[PartitionQueryReport] = []
-        for i, (partition, forest) in enumerate(
-                zip(self._partitions, self._forests)):
-            # Build-time clamped entries can exceed the nominal bound;
-            # stay conservative (u tracks the live per-partition max).
-            u = max(partition.upper - 1, self._partition_max_size[i])
-            if forest.is_empty():
+        for i, partition in enumerate(self._partitions):
+            u = self._bound(i)
+            if not layout.partition_rows[i] or (t_star > 0
+                                                and u < t_star * q):
+                # Empty, or no domain this small can contain t* of Q.
                 reports.append(PartitionQueryReport(partition, None, 0, True))
                 continue
-            if t_star > 0 and u < t_star * q:
-                # No domain this small can contain t* of the query.
-                reports.append(PartitionQueryReport(partition, None, 0, True))
-                continue
+            # One one-partition plan through the shared probe, so each
+            # partition's time is its own (Eq. 9's per-partition cost).
             t0 = time.perf_counter()
-            tuning = tune_params_quantized(u, q, t_star, self.num_trees,
-                                           self.max_depth, self.num_perm)
-            found = forest.query(lean, tuning.b, tuning.r)
+            tuning = self._tune(u, q, t_star)
+            found: set = set()
+            layout.probe(query, np.zeros(1, dtype=np.intp),
+                         np.array([i * self.num_trees]),
+                         np.array([tuning.b]), np.array([tuning.r]), [found])
             if tombstones:
                 found -= tombstones
             elapsed = time.perf_counter() - t0
@@ -940,12 +957,12 @@ class LSHEnsemble(QuerySurface):
 
         Semantically a pure optimisation: returns exactly
         ``[self.query(s, size, threshold) for s, size in zip(batch, sizes)]``
-        but walks the index partition-major — per partition, every
-        signature is pruned/tuned individually (Algorithm 1's per-query
-        parameter selection), signatures that landed on the same
-        ``(b, r)`` are probed together through the forest's vectorised
-        byte-packing path, and each partition's bucket tables are touched
-        once for the whole batch.
+        but plans first and probes once — every (signature, partition)
+        pair is pruned and tuned individually (Algorithm 1's per-query
+        parameter selection, see :meth:`_plan_locked`), and the whole
+        plan is then probed with one hash pass, probe, verify and merge
+        per distinct ``r`` across all partitions.  One row and many take
+        the same path.
 
         Parameters
         ----------
@@ -964,7 +981,7 @@ class LSHEnsemble(QuerySurface):
 
     def _query_batch_locked(self, batch, sizes: Sequence[int] | None = None,
                             threshold: float | None = None) -> list[set]:
-        if not self._forests:
+        if self._layout is None:
             raise RuntimeError("the index is empty; call index() first")
         sb, qs = normalise_queries(batch, sizes)
         n = len(sb)
@@ -978,53 +995,10 @@ class LSHEnsemble(QuerySurface):
                 "batch num_perm %d does not match index num_perm %d"
                 % (sb.num_perm, self.num_perm)
             )
-        if n == 1:
-            # A one-row batch takes the scalar probe: 16 partitions of
-            # small-array numpy overhead cost ~2.4x the scalar walk
-            # (0.74 vs 0.30 ms at 10k domains), and every derived
-            # single-query entry point lands here.
-            return [self._query_with_report_locked(sb[0], qs[0], t_star)[0]]
-        qs_arr = np.asarray(qs, dtype=np.float64)
         self._resolve_live_max_locked()
         results: list[set] = [set() for _ in range(n)]
-        for i, (partition, forest) in enumerate(
-                zip(self._partitions, self._forests)):
-            if forest.is_empty():
-                continue
-            u = max(partition.upper - 1, self._partition_max_size[i])
-            if t_star > 0:
-                # Vectorised form of the per-query prune: a domain of at
-                # most u values cannot contain t* of a larger query.
-                survivors = np.nonzero(t_star * qs_arr <= u)[0]
-                if not survivors.size:
-                    continue
-            else:
-                survivors = np.arange(n)
-            # Per-signature parameter selection, shared per ratio bucket:
-            # tuning depends on (u, q) only through ratio_bucket(u, q)
-            # (the quantised tuner's memo key), so queries in one bucket
-            # are tuned once and probed together.  The bucketing itself
-            # is one vectorised pass (ratio_buckets agrees with the
-            # scalar ratio_bucket exactly); a stable sort then yields
-            # each bucket's rows as one slice.
-            bkts = ratio_buckets(u, qs_arr[survivors])
-            order = np.argsort(bkts, kind="stable")
-            sorted_rows = survivors[order]
-            sorted_bkts = bkts[order]
-            starts = np.concatenate(
-                ([0], np.nonzero(np.diff(sorted_bkts))[0] + 1,
-                 [sorted_bkts.size]))
-            groups: dict[tuple[int, int], list[int]] = {}
-            for s, e in zip(starts[:-1].tolist(), starts[1:].tolist()):
-                rows = sorted_rows[s:e].tolist()
-                tuning = tune_params_quantized(
-                    u, qs[rows[0]], t_star, self.num_trees, self.max_depth,
-                    self.num_perm)
-                groups.setdefault((tuning.b, tuning.r), []).extend(rows)
-            for (b, r), rows in groups.items():
-                # Merge straight into the global result sets — no
-                # per-partition intermediates.
-                forest.query_batch_into(sb.take(rows), b, r, results, rows)
+        self._layout.probe(sb.matrix, *self._plan_locked(qs, t_star),
+                           results)
         # Tombstones filter only the base-tier candidates; a key
         # re-inserted after removal lives in the delta and must survive.
         if self._tombstones:
@@ -1037,6 +1011,63 @@ class LSHEnsemble(QuerySurface):
                                     self._delta.query_batch(sb, qs, t_star)):
                 found |= extra
         return results
+
+    def _bound(self, i: int) -> int:
+        """Partition ``i``'s size bound ``u``.  Build-time clamped
+        entries can exceed the nominal bound; stay conservative (the
+        live per-partition max is tracked)."""
+        return max(self._partitions[i].upper - 1,
+                   self._partition_max_size[i])
+
+    def _tune(self, u: int, q: int, t_star: float) -> TuningResult:
+        """Algorithm 1's ``(b, r)`` for a partition bounded by ``u``
+        (Eq. 26, memoised per size-ratio bucket)."""
+        return tune_params_quantized(u, q, t_star, self.num_trees,
+                                     self.max_depth, self.num_perm)
+
+    def _plan_locked(self, qs: list[int], t_star: float) -> tuple:
+        """Algorithm 1's pruning and parameter selection for a batch.
+
+        Returns one ``(row, first slot, b, r)`` item per (query,
+        partition) pair to probe, as the arrays
+        :meth:`~repro.forest.layout.BucketLayout.probe` takes.  A
+        partition whose bound ``u`` cannot hold ``t*`` of a query is
+        pruned for it; tuning depends on ``(u, q)`` only through
+        ``ratio_bucket(u, q)`` (the quantised tuner's memo key, computed
+        here in one vectorised pass that agrees with the scalar one
+        exactly), so each distinct (partition, bucket) pair is tuned
+        once.
+        """
+        parts = np.flatnonzero(self._layout.partition_rows)
+        bounds = [self._bound(i) for i in parts.tolist()]
+        us = np.array(bounds, dtype=np.float64)
+        qs_arr = np.asarray(qs, dtype=np.float64)
+        if t_star > 0:
+            # A domain of at most u values cannot contain t* of a
+            # larger query.
+            rows, cols = np.nonzero(t_star * qs_arr[:, None] <= us)
+        else:
+            rows, cols = np.divmod(np.arange(qs_arr.size * us.size),
+                                   us.size)
+        if not rows.size:
+            return rows, rows, rows, rows
+        buckets = ratio_buckets(us[cols], qs_arr[rows])
+        low = int(buckets.min())
+        span = int(buckets.max()) - low + 1
+        codes = cols * span + (buckets - low)
+        # Any row of a (partition, bucket) pair stands for all of them.
+        sample = np.full(parts.size * span, -1, dtype=np.intp)
+        sample[codes] = rows
+        present = np.flatnonzero(sample >= 0)
+        tunings = [self._tune(bounds[code // span], qs[row], t_star)
+                   for code, row in zip(present.tolist(),
+                                        sample[present].tolist())]
+        b_of = np.zeros(sample.size, dtype=np.intp)
+        r_of = np.zeros(sample.size, dtype=np.intp)
+        b_of[present] = [tuning.b for tuning in tunings]
+        r_of[present] = [tuning.r for tuning in tunings]
+        return (rows, parts[cols] * self.num_trees, b_of[codes],
+                r_of[codes])
 
     def signatures_for(self, keys: Iterable[Hashable]) -> tuple[dict, dict]:
         """``(signatures, sizes)`` of the live keys among ``keys`` —
@@ -1051,8 +1082,7 @@ class LSHEnsemble(QuerySurface):
         """Signature of a *live* key (either tier); no tombstone check."""
         if self._delta is not None and key in self._delta:
             return self._delta.get_signature(key)
-        forest = self._forests[self._route_index(self._sizes[key])]
-        return forest.get_signature(key)
+        return self._signatures[key]
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -1090,7 +1120,7 @@ class LSHEnsemble(QuerySurface):
             return self._stats_locked()
 
     def _stats_locked(self) -> dict:
-        if not self._forests:
+        if self._layout is None:
             raise RuntimeError("the index is empty; call index() first")
         lo = self._partitions[0].lower
         hi = self._partitions[-1].upper - 1

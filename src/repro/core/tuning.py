@@ -26,6 +26,7 @@ trapezoid grid, and results are memoised per ``(u, q, t*)`` — the paper's
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from functools import lru_cache
 
 import numpy as np
@@ -214,6 +215,7 @@ _RATIO_EDGES = np.array(
     [2.0 ** ((k + 0.5) / _Q_BUCKETS_PER_OCTAVE)
      for k in range(_RATIO_BUCKET_MIN, -_RATIO_BUCKET_MIN + 1)],
     dtype=np.float64)
+_RATIO_EDGE_LIST = _RATIO_EDGES.tolist()
 
 
 def ratio_bucket(u: float, q: float) -> int:
@@ -226,19 +228,19 @@ def ratio_bucket(u: float, q: float) -> int:
     """
     if u <= 0 or q <= 0:
         raise ValueError("u and q must be positive")
-    return _RATIO_BUCKET_MIN + int(
-        np.searchsorted(_RATIO_EDGES, u / q, side="right"))
+    return _RATIO_BUCKET_MIN + bisect_right(_RATIO_EDGE_LIST, u / q)
 
 
-def ratio_buckets(u: float, qs: np.ndarray) -> np.ndarray:
-    """:func:`ratio_bucket` for one ``u`` against many query sizes.
+def ratio_buckets(u, qs: np.ndarray) -> np.ndarray:
+    """:func:`ratio_bucket` over many ``(u, q)`` pairs.
 
-    One division and one ``searchsorted`` pass; element ``i`` equals
-    ``ratio_bucket(u, qs[i])`` exactly (identical float compares), which
-    the batch query path relies on to group queries by tuning without a
-    per-query Python call.
+    ``u`` is one bound or an array broadcasting against ``qs``.  One
+    division and one ``searchsorted`` pass; element ``i`` equals
+    ``ratio_bucket(u[i], qs[i])`` exactly (identical float compares),
+    which the batch query path relies on to group queries by tuning
+    without a per-query Python call.
     """
-    if u <= 0:
+    if np.any(np.asarray(u) <= 0):
         raise ValueError("u must be positive")
     return _RATIO_BUCKET_MIN + np.searchsorted(
         _RATIO_EDGES, u / qs, side="right")
@@ -256,7 +258,13 @@ def tune_params_quantized(u: int, q: int, t_star: float, num_trees: int,
     costs one dict lookup, as in the paper.  Exact tuning remains
     available via :func:`tune_params` for analysis and tests.
     """
-    bucket = ratio_bucket(u, q)
+    return _tune_ratio_bucket(ratio_bucket(u, q), t_star, num_trees,
+                              max_depth, num_perm)
+
+
+@lru_cache(maxsize=100_000)
+def _tune_ratio_bucket(bucket: int, t_star: float, num_trees: int,
+                       max_depth: int, num_perm: int) -> TuningResult:
     quant_ratio = 2.0 ** (bucket / _Q_BUCKETS_PER_OCTAVE)
     # Re-express the quantised ratio as an integer (u', q') pair for the
     # exact tuner; scale keeps resolution for ratios near 1.

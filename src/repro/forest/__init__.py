@@ -1,6 +1,5 @@
 """Dynamic LSH substrate: prefix-tree forests with query-time (b, r)."""
 
 from repro.forest.prefix_forest import PrefixForest, default_forest_shape
-from repro.forest.topk_forest import MinHashLSHForest
 
-__all__ = ["PrefixForest", "MinHashLSHForest", "default_forest_shape"]
+__all__ = ["PrefixForest", "default_forest_shape"]

@@ -9,8 +9,8 @@ name      implementation
 ========  ===========================================================
 python    pure-Python reference loops (always available, bit-exact
           ground truth for the property suite)
-numpy     batch-vectorised FNV hashing, open-addressing hash-table
-          probe, columnar merge — the default
+numpy     batch-vectorised FNV hashing, binary-search / open-addressing
+          hash-table probe, columnar merge — the default
 ========  ===========================================================
 
 Selection precedence (first match wins):

@@ -6,19 +6,21 @@ to three loops, and only three:
 
 * **band hashing** — FNV-1a over the packed uint64 lanes of every
   (row, tree) band prefix of a signature matrix;
-* **probing** — binary search of the hashed probes against the sorted
-  hashes of all stored bucket keys;
+* **probing** — search of the hashed probes in the sorted hashes of
+  all stored buckets;
 * **merging** — the union of every verified hit's bucket members into
   the per-query candidate sets.
 
-A :class:`Kernel` bundles one implementation of each.  The ``python``
-backend keeps the plain dict/loop code as the bit-exact reference; the
-``numpy`` backend is the vectorised production path.  Backends are
-registered by name (see :mod:`repro.kernels`) exactly like partitioners
-— a compiled backend would plug in through
-:func:`repro.kernels.register_kernel` — and the chosen name is recorded
-in snapshot headers so process-pool workers and loaded indexes adopt
-the builder's choice.
+A :class:`Kernel` bundles one implementation of each.  Every index
+builds and probes one bucket layout (:class:`ProbeIndex`, built by
+:mod:`repro.forest.layout`) and calls these three ops on its arrays,
+whichever backend is selected: the ``python`` backend runs them as
+scalar loops and is the bit-exact reference; the ``numpy`` backend is
+the vectorised production path.  Backends are registered by name (see
+:mod:`repro.kernels`) exactly like partitioners — a compiled backend
+would plug in through :func:`repro.kernels.register_kernel` — and the
+chosen name is recorded in snapshot headers so process-pool workers and
+loaded indexes adopt the builder's choice.
 
 Every backend must be *bit-identical* to ``python`` — the property suite
 (`tests/kernels/`) enforces it — so selection is purely a performance
@@ -33,18 +35,9 @@ __all__ = ["Kernel", "ProbeIndex", "SortedHashes"]
 
 
 class Kernel:
-    """One backend for the band-hash / probe / merge hot loops.
-
-    ``vectorized`` gates dispatch in the forest and storage layers: a
-    non-vectorised kernel (the ``python`` reference) makes callers take
-    their plain per-probe loops, which *is* the reference implementation
-    — its op methods below exist so the property suite can also pin the
-    vectorised backends' ops one at a time.
-    """
+    """One backend for the band-hash / probe / merge hot loops."""
 
     name: str = "?"
-    #: Whether callers should take their batch-vectorised paths.
-    vectorized: bool = True
 
     def band_hash(self, lanes: np.ndarray,
                   salt: np.ndarray | np.uint64 | None = None) -> np.ndarray:
@@ -86,10 +79,9 @@ class Kernel:
               hit_pos: np.ndarray, index: "ProbeIndex") -> None:
         """Union the bucket of every verified hit into the caller's sets.
 
-        Hit ``i`` unions ``index.buckets[hit_pos[i]]`` into
-        ``results[rows[hit_rows[i]]]``.  ``hit_rows`` is non-decreasing
-        (probe hits come out of a row-major scan) — vectorised backends
-        rely on that to group hits per row without a sort.
+        Hit ``i`` unions the members of bucket ``hit_pos[i]`` (see
+        :meth:`ProbeIndex.columns`) into ``results[rows[hit_rows[i]]]``;
+        hits may come in any order.
         """
         raise NotImplementedError
 
@@ -98,13 +90,11 @@ class SortedHashes:
     """A sorted uint64 hash array plus a backend-owned lookup structure.
 
     The minimal probe-side index: :meth:`Kernel.probe_hits` takes one of
-    these (the storage layer's packed-key prefilter uses it directly;
-    the forest's richer :class:`ProbeIndex` subclasses it).  ``aux``
-    lazily attaches whatever acceleration structure the active backend
-    wants (the numpy kernel's hash table) — cached here because the
-    holder's lifetime IS the structure's validity: any mutation of the
-    underlying buckets discards the whole holder, never the array in
-    place.
+    these (the bucket layout's :class:`ProbeIndex` subclasses it).
+    ``aux`` lazily attaches whatever acceleration structure the active
+    backend wants (the numpy kernel's hash table) — cached here because
+    the holder is immutable: a changed index is a new holder, never an
+    array rewritten in place.
     """
 
     __slots__ = ("hashes", "_aux")
@@ -128,66 +118,70 @@ class SortedHashes:
 
 
 class ProbeIndex(SortedHashes):
-    """The forest's per-depth probe-side view of all stored bucket keys.
+    """All buckets of one depth, as sorted contiguous arrays.
 
-    Built once per (depth, mutation generation) by
-    :meth:`~repro.forest.prefix_forest.PrefixForest._probe_index` and
-    handed to the kernel ops: ``hashes`` are the sorted salted key
-    hashes, ``tree_ids`` / ``prefix_lanes`` the per-key verification
-    lanes and ``buckets`` the live bucket views, all aligned with the
-    sort order.  ``ambiguous`` holds hash values shared by more than one
-    stored key (64-bit collisions) — probes failing lane verification
-    there are re-checked against the real tables by the caller.
+    The repository's one bucket representation.  Bucket ``p`` has the
+    salted band hash ``hashes[p]`` (sorted ascending), the verification
+    pair ``tree_ids[p]`` (the slot: which tree of which partition) and
+    ``prefix_lanes[p]`` (the band prefix itself), and the members
+    ``row_ids[offsets[p]:offsets[p + 1]]`` of :meth:`columns` — int32
+    row ids that become keys only through the one ``keys`` object
+    array, at the very end of a merge.
 
-    :meth:`columns` lazily flattens the buckets into one columnar
-    ``(member_ids, offsets, id_to_key)`` triple so a vectorised merge
-    can gather candidate IDs with array ops instead of per-bucket set
-    unions; the flatten cost is paid once per index build and only when
-    a merge actually wants it.
+    Buckets sharing a hash (a 64-bit collision) sit in one contiguous
+    run; ``ambiguous`` holds those hash values, and a probe whose
+    verification fails on the run's first bucket scans the rest of the
+    run, so answers stay exact.
+
+    :mod:`repro.forest.layout` builds these straight from a signature
+    matrix (:meth:`from_columns`); the constructor takes explicit
+    bucket member sets, for kernel-level tests and benches.
     """
 
-    __slots__ = ("tree_ids", "prefix_lanes", "buckets",
-                 "ambiguous", "_columns")
+    __slots__ = ("tree_ids", "prefix_lanes", "ambiguous", "_columns")
 
     def __init__(self, hashes: np.ndarray, tree_ids: np.ndarray,
                  prefix_lanes: np.ndarray, buckets: list,
                  ambiguous: frozenset) -> None:
-        super().__init__(hashes)
+        id_of: dict = {}
+        ids: list[int] = []
+        offsets = np.empty(len(buckets) + 1, dtype=np.int64)
+        offsets[0] = 0
+        for p, bucket in enumerate(buckets):
+            for key in bucket:
+                ids.append(id_of.setdefault(key, len(id_of)))
+            offsets[p + 1] = len(ids)
+        keys = np.fromiter(id_of, dtype=object, count=len(id_of))
+        self._init(hashes, tree_ids, prefix_lanes,
+                   (np.asarray(ids, dtype=np.int32), offsets, keys),
+                   ambiguous)
+
+    @classmethod
+    def from_columns(cls, hashes: np.ndarray, tree_ids: np.ndarray,
+                     prefix_lanes: np.ndarray, columns: tuple,
+                     ambiguous: frozenset) -> "ProbeIndex":
+        """An index over ready-made ``(row_ids, offsets, keys)`` arrays."""
+        index = cls.__new__(cls)
+        index._init(hashes, tree_ids, prefix_lanes, columns, ambiguous)
+        return index
+
+    def _init(self, hashes, tree_ids, prefix_lanes, columns,
+              ambiguous) -> None:
+        SortedHashes.__init__(self, hashes)
         self.tree_ids = tree_ids
         self.prefix_lanes = prefix_lanes
-        self.buckets = buckets
         self.ambiguous = ambiguous
-        self._columns: tuple | None = None
+        self._columns = columns
 
     def columns(self) -> tuple:
-        """``(member_ids, offsets, id_to_key)`` over all buckets.
+        """``(row_ids, offsets, keys)``: bucket ``p``'s members are
+        ``keys[row_ids[offsets[p]:offsets[p + 1]]]``."""
+        return self._columns
 
-        ``member_ids[offsets[p]:offsets[p + 1]]`` are integer IDs of the
-        members of ``buckets[p]``; ``id_to_key`` maps ID back to the
-        stored key.  Safe to cache alongside the index: any bucket
-        mutation invalidates the whole probe index (the forest clears
-        its cache), never the buckets in place underneath a live one.
-        """
-        cols = self._columns
-        if cols is None:
-            id_of: dict = {}
-            id_to_key: list = []
-            ids: list[int] = []
-            offsets = np.empty(len(self.buckets) + 1, dtype=np.int64)
-            offsets[0] = 0
-            for p, bucket in enumerate(self.buckets):
-                for key in bucket:
-                    i = id_of.get(key)
-                    if i is None:
-                        i = len(id_to_key)
-                        id_of[key] = i
-                        id_to_key.append(key)
-                    ids.append(i)
-                offsets[p + 1] = len(ids)
-            member_ids = np.asarray(ids, dtype=np.int64)
-            # Object array, not list: lets the merge gather whole key
-            # segments with one fancy index instead of a Python loop.
-            keys_arr = np.empty(len(id_to_key), dtype=object)
-            keys_arr[:] = id_to_key
-            cols = self._columns = (member_ids, offsets, keys_arr)
-        return cols
+    @property
+    def buckets(self) -> list[set]:
+        """Every bucket's members as a set (diagnostics and tests)."""
+        row_ids, offsets, keys = self._columns
+        return [set(keys[row_ids[lo:hi]].tolist())
+                for lo, hi in zip(offsets[:-1].tolist(),
+                                  offsets[1:].tolist())]

@@ -1,25 +1,24 @@
 """The ``numpy`` kernel backend — the default production path.
 
 One FNV-1a pass per band over the whole signature matrix, an
-open-addressing hash table for query-path probing (binary search stays
-as the reference :meth:`probe` op), and a columnar unique-based merge
-that gathers candidate IDs into preallocated buffers instead of
-unioning one frozenset per bucket.  Bit-identical to the ``python``
-reference (the property suite pins it); faster because every per-probe
-decision happens inside numpy.
+open-addressing hash table for probing large batches (binary search
+stays the :meth:`probe` op and answers small ones), and a columnar merge
+that gathers member row ids from the bucket layout's CSR arrays and
+dedups them before touching any Python set.  Bit-identical to the
+``python`` reference (the property suite pins it); faster because every
+per-probe decision happens inside numpy.
 
 Why a hash table: at 1M+ domains the sorted hash arrays are tens of MB,
-so each binary search is ~``log2(n)`` *dependent* DRAM misses — slower
-than the dict lookups of the pure-python path, which pay ~2.  The
+so each binary search is ~``log2(n)`` *dependent* DRAM misses.  The
 table (linear probing, load factor <= 0.25, hash and position packed
 into one 16-byte row so a probe's verify never leaves its cache line)
 gets that down to ~1 gather per probe, and both build and lookup are
-whole-batch numpy passes.
+whole-batch numpy passes.  Its fixed cost per call is ~10 array ops per
+round, so a few hundred probes — a one-row query — are cheaper to
+binary-search.
 """
 
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 
@@ -30,11 +29,6 @@ __all__ = ["NumpyKernel", "fnv1a_lanes"]
 _FNV_OFFSET = np.uint64(0xCBF29CE484222325)
 _FNV_PRIME = np.uint64(0x100000001B3)
 
-# Below this many verified hits the per-bucket set-union loop beats the
-# columnar gather (whose fixed cost is a handful of array ops plus the
-# lazy column build on first use).
-_MIN_COLUMNAR_HITS = 1024
-
 # Fibonacci multiplicative hashing spreads the (already FNV-mixed)
 # 64-bit keys over the table's power-of-two slots.
 _SLOT_MULT = np.uint64(0x9E3779B97F4A7C15)
@@ -43,11 +37,10 @@ _SLOT_MULT = np.uint64(0x9E3779B97F4A7C15)
 # and beats the table's build cost + fixed lookup overhead.
 _MIN_TABLE_KEYS = 8192
 
-# Once this few probes remain unresolved, finish them with a scalar
-# walk: each extra vectorised round costs ~10 whole-array ops, and the
-# stragglers (probes stuck in long collision clusters) would otherwise
-# force one round per remaining cluster slot.
-_SCALAR_TAIL = 48
+# At or below this many probes (whether a whole small batch or the
+# stragglers a table walk leaves in long collision clusters) one binary
+# search beats another round of whole-array table ops.
+_BINARY_SEARCH_PROBES = 256
 
 
 def _build_probe_table(sorted_hashes: np.ndarray):
@@ -97,12 +90,11 @@ def fnv1a_lanes(lanes: np.ndarray,
     """Vectorised FNV-1a over the uint64 lanes of packed bucket keys.
 
     ``lanes`` holds one key per row (last axis = the key's 8-byte lanes);
-    returns one uint64 hash per row.  Used as a *prefilter*: batch probes
-    are resolved against a sorted array of stored-key hashes, and only
-    rows whose hash matches are verified against the real table — a
-    64-bit collision can therefore cost a wasted lookup, never a wrong
-    result.  ``salt`` distinguishes key spaces sharing one index (e.g.
-    one hash array for all trees of a forest).
+    returns one uint64 hash per row.  The bucket layout sorts buckets by
+    this hash and verifies every hash match against the bucket's own
+    lanes, so a 64-bit collision can cost a wasted comparison, never a
+    wrong result.  ``salt`` distinguishes key spaces sharing one index
+    (e.g. one hash array for all trees of a forest).
     """
     h = np.bitwise_xor(_FNV_OFFSET if salt is None else _FNV_OFFSET ^ salt,
                        lanes[..., 0])
@@ -112,18 +104,20 @@ def fnv1a_lanes(lanes: np.ndarray,
     return h
 
 
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """``np.unique`` without its per-call overhead (several times the
+    sort itself at the few hundred values of a one-row query)."""
+    values = np.sort(values)
+    keep = np.empty(values.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
+
+
 class NumpyKernel(Kernel):
     """Batch-vectorised band-hash / probe / merge."""
 
     name = "numpy"
-    vectorized = True
-
-    def __init__(self) -> None:
-        # Grow-only per-thread gather scratch: the merge reuses one
-        # buffer across calls instead of allocating per batch (the
-        # instance is shared process-wide via the registry, so the
-        # scratch must be thread-local).
-        self._local = threading.local()
 
     def band_hash(self, lanes, salt=None):
         return fnv1a_lanes(lanes, salt)
@@ -135,7 +129,8 @@ class NumpyKernel(Kernel):
         return pos, hits
 
     def probe_hits(self, index: SortedHashes, probes):
-        if index.hashes.size < _MIN_TABLE_KEYS:
+        if (index.hashes.size < _MIN_TABLE_KEYS
+                or probes.size <= _BINARY_SEARCH_PROBES):
             return self.probe(index.hashes, probes)
         table, shift, mask = index.aux(_build_probe_table)
         m = probes.size
@@ -144,7 +139,7 @@ class NumpyKernel(Kernel):
         idx = ((probes * _SLOT_MULT) >> shift).astype(np.int64)
         active = np.arange(m)
         pv = probes
-        while active.size > _SCALAR_TAIL:
+        while active.size > _BINARY_SEARCH_PROBES:
             rows = table[idx]
             occupied = rows[:, 1] != 0
             match = occupied & (rows[:, 0] == pv)
@@ -154,79 +149,53 @@ class NumpyKernel(Kernel):
                 pos[where] = rows[match, 1].astype(np.intp) - 1
             # Occupied by a different hash: advance one slot.  An empty
             # slot proves absence (nothing is ever deleted from the
-            # table — mutation discards the whole holder).
+            # table — a changed index is a new holder).
             cont = occupied ^ match  # match is a subset of occupied
             active = active[cont]
             pv = pv[cont]
             idx = (idx[cont] + 1) & mask
         if active.size:
-            # Collision-cluster stragglers (or a tiny batch): walk the
-            # remaining chains one slot at a time instead of paying a
-            # whole-array round per extra slot.
-            int_mask = int(mask)
-            for k in range(active.size):
-                i = int(idx[k])
-                p = int(pv[k])
-                while True:
-                    stored = int(table[i, 1])
-                    if stored == 0:
-                        break
-                    if int(table[i, 0]) == p:
-                        j = int(active[k])
-                        hit[j] = True
-                        pos[j] = stored - 1
-                        break
-                    i = (i + 1) & int_mask
+            # Collision-cluster stragglers: one binary search settles
+            # them all instead of a whole-array round per cluster slot.
+            tail_pos, tail_hits = self.probe(index.hashes, pv)
+            where = active[tail_hits]
+            hit[where] = True
+            pos[where] = tail_pos[tail_hits]
         return pos, np.flatnonzero(hit)
 
-    def _scratch(self, n: int) -> np.ndarray:
-        buf = getattr(self._local, "buf", None)
-        if buf is None or buf.size < n:
-            buf = np.empty(max(n, 4096), dtype=np.int64)
-            self._local.buf = buf
-        return buf[:n]
-
     def merge(self, results, rows, hit_rows, hit_pos, index: ProbeIndex):
-        if hit_pos.size >= _MIN_COLUMNAR_HITS:
-            self._merge_columnar(results, rows, hit_rows, hit_pos, index)
+        """Gather every hit bucket's member ids from the CSR arrays into
+        one flat buffer and dedup ``(row, id)`` pairs before touching
+        the Python sets — the per-member Python cost is one set insert
+        per *unique* candidate, and row ids become keys through one
+        object gather."""
+        hit_pos = np.asarray(hit_pos, dtype=np.intp)
+        if not hit_pos.size:
             return
-        buckets = index.buckets
-        for j, p in zip(hit_rows.tolist(), hit_pos.tolist()):
-            bucket = buckets[p]
-            if bucket:
-                results[rows[j]] |= bucket
-
-    def _merge_columnar(self, results, rows, hit_rows, hit_pos,
-                        index: ProbeIndex) -> None:
-        """Gather every hit bucket's member IDs into one flat buffer,
-        split it per query row (``hit_rows`` is non-decreasing), and
-        dedup with ``np.unique`` before touching the Python sets — the
-        per-member Python cost drops from one set-op per bucket member
-        to one per *unique* candidate."""
-        member_ids, offsets, id_to_key = index.columns()
+        member_ids, offsets, keys = index.columns()
         starts = offsets[hit_pos]
         counts = offsets[hit_pos + 1] - starts
         total = int(counts.sum())
         if total == 0:
             return
-        reps = np.repeat(np.arange(hit_pos.size, dtype=np.int64), counts)
         cum = np.cumsum(counts) - counts  # gather-space start of each hit
-        gather = self._scratch(total)
-        gather[:] = np.arange(total, dtype=np.int64)
-        gather -= cum[reps]
-        gather += starts[reps]
-        ids = member_ids[gather]
-        row_of = hit_rows[reps]  # non-decreasing, see Kernel.merge
-        # One global dedup: (row, id) packs into a single int64 (both
-        # factors are list lengths, so the product stays well inside the
-        # type), and one np.unique replaces a per-row-segment unique
-        # loop whose fixed costs dominated at large batch sizes.
-        width = np.int64(len(id_to_key))
-        pairs = np.unique(row_of * width + ids)
+        gather = np.repeat(starts - cum, counts)
+        gather += np.arange(total)
+        ids = member_ids[gather].astype(np.int64)
+        hit_rows = np.asarray(hit_rows, dtype=np.int64)
+        if hit_rows[0] == hit_rows[-1] and (hit_rows == hit_rows[0]).all():
+            results[rows[int(hit_rows[0])]].update(
+                keys[_sorted_unique(ids)].tolist())
+            return
+        # (row, id) packs into one int64 (both factors are list
+        # lengths, so the product stays well inside the type), and one
+        # sort-dedup replaces a per-row loop.
+        width = np.int64(keys.size)
+        pairs = _sorted_unique(np.repeat(hit_rows, counts) * width + ids)
         urows = pairs // width
         uids = pairs - urows * width
-        splits = np.nonzero(np.diff(urows))[0] + 1
+        splits = np.flatnonzero(urows[1:] != urows[:-1]) + 1
         seg_rows = urows[np.concatenate(([0], splits))]
-        keys = id_to_key[uids]  # one object gather for every segment
-        for j, seg in zip(seg_rows.tolist(), np.split(keys, splits)):
+        members = keys[uids]  # one object gather for every segment
+        for j, seg in zip(seg_rows.tolist(), np.split(members, splits)):
             results[rows[j]].update(seg.tolist())

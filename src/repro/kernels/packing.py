@@ -64,7 +64,7 @@ def pack_block(matrix: np.ndarray, start: int, stop: int,
                dtype: np.dtype) -> bytes:
     """Packed band keys for every row of a signature matrix, as one
     concatenated buffer of ``(stop - start) * dtype.itemsize``-byte
-    keys (the layout ``insert_packed`` / ``merge_packed`` consume)."""
+    keys (``pack_row`` of every row, back to back)."""
     block = matrix[:, start:stop]
     if dtype.itemsize != 8:
         block = block.astype(dtype)
@@ -76,9 +76,8 @@ def lanes_from_bytes(buf: bytes | memoryview, n: int,
     """The uint64 hash lanes of ``n`` packed ``stride``-byte keys.
 
     8-byte-aligned keys are viewed directly; b-bit packed keys (stride
-    not a multiple of 8) are widened byte-wise so the same FNV kernel
-    covers both layouts — probe and stored-key hashing must agree, and
-    both route through here.
+    not a multiple of 8) are widened byte-wise, so one FNV kernel can
+    hash keys of either layout.
     """
     if stride % 8 == 0:
         return np.frombuffer(buf, dtype=np.uint64).reshape(n, stride // 8)

@@ -1,12 +1,11 @@
 """The ``python`` kernel backend — the bit-exact reference.
 
-``vectorized`` is False, so the forest and storage layers answer every
-query through their plain per-probe dict loops — the code the project
-started with, and the semantics every other backend is property-tested
-against.  The op methods below are *also* implemented in pure Python
-(integer FNV, ``bisect`` probing, per-bucket set unions) so the suite
-can pin each vectorised op against its scalar twin in isolation, not
-just end-to-end query results.
+The three ops as scalar loops (integer FNV, ``bisect`` probing, one set
+insert per bucket member) over the same bucket-layout arrays the
+``numpy`` backend reads, so every index answers through the same build,
+verify and run-scan code whichever kernel is selected — only the ops
+differ.  The property suite pins each vectorised op against its scalar
+twin here, and whole answers against this backend's.
 """
 
 from __future__ import annotations
@@ -25,10 +24,9 @@ _MASK = (1 << 64) - 1
 
 
 class PythonKernel(Kernel):
-    """Scalar reference ops; dispatches callers to their plain loops."""
+    """Scalar reference ops."""
 
     name = "python"
-    vectorized = False
 
     def band_hash(self, lanes, salt=None):
         lanes = np.asarray(lanes, dtype=np.uint64)
@@ -50,8 +48,6 @@ class PythonKernel(Kernel):
         return out
 
     def probe(self, sorted_hashes, probes):
-        # O(table) listify per call: this op only runs in the parity
-        # suite (vectorized=False keeps it off every query path).
         table = sorted_hashes.tolist()
         last = len(table) - 1
         pos = np.empty(len(probes), dtype=np.intp)
@@ -64,9 +60,9 @@ class PythonKernel(Kernel):
         return pos, np.asarray(hits, dtype=np.intp)
 
     def merge(self, results, rows, hit_rows, hit_pos, index: ProbeIndex):
-        buckets = index.buckets
+        member_ids, offsets, keys = index.columns()
         for j, p in zip(np.asarray(hit_rows).tolist(),
                         np.asarray(hit_pos).tolist()):
-            bucket = buckets[p]
-            if bucket:
-                results[rows[j]] |= bucket
+            add = results[rows[j]].add
+            for i in member_ids[offsets[p]:offsets[p + 1]].tolist():
+                add(keys[i])

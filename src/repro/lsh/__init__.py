@@ -8,7 +8,6 @@ from repro.lsh.params import (
     optimal_params,
     threshold_for_params,
 )
-from repro.lsh.storage import DictHashTableStorage
 
 __all__ = [
     "MinHashLSH",
@@ -17,5 +16,4 @@ __all__ = [
     "false_positive_weight",
     "false_negative_weight",
     "threshold_for_params",
-    "DictHashTableStorage",
 ]

@@ -8,19 +8,18 @@ probability ``s^r``; over ``b`` bands the candidate probability is
 
 This class is both a substrate (LSH Ensemble builds per-partition dynamic
 variants on the same banding idea) and the paper's *Baseline* when wrapped
-with the containment-threshold conversion of Section 5.1.
+with the containment-threshold conversion of Section 5.1.  Its ``b`` bands
+of ``r`` rows are a :class:`~repro.forest.prefix_forest.PrefixForest` of
+``b`` trees of depth ``r`` queried at ``(b, r)``, so it shares the one
+bucket layout of :mod:`repro.forest.layout`.
 """
 
 from __future__ import annotations
 
 from collections.abc import Hashable, Sequence
 
-from repro.kernels import band_dtype, get_kernel, pack_block, pack_row, \
-    validate_bbit
+from repro.forest.prefix_forest import PrefixForest
 from repro.lsh.params import optimal_params
-from repro.lsh.storage import DictHashTableStorage
-from repro.minhash.batch import (as_lean, as_signature_matrix,
-                                 prepare_bulk_insert)
 from repro.minhash.lean import LeanMinHash
 from repro.minhash.minhash import MinHash
 
@@ -70,18 +69,16 @@ class MinHashLSH:
                                   fp_weight, fn_weight)
         self.b = int(b)
         self.r = int(r)
-        self._kernel = get_kernel(kernel)
-        self.bbit = validate_bbit(bbit)
-        self._band_dtype = band_dtype(self.bbit)
-        # One hash table per band, b tables total.
-        self._tables = [DictHashTableStorage(self._kernel)
-                        for _ in range(self.b)]
-        self._keys: dict[Hashable, LeanMinHash] = {}
+        # Band i is rows [i * r, (i + 1) * r): exactly tree i of a
+        # forest of b trees of depth r, queried at full depth.
+        self._forest = PrefixForest(self.num_perm, self.b, self.r,
+                                    kernel=kernel, bbit=bbit)
+        self.bbit = self._forest.bbit
 
     @property
     def kernel(self):
         """The resolved hot-loop kernel backend."""
-        return self._kernel
+        return self._forest.kernel
 
     # ------------------------------------------------------------------ #
     # Mutation
@@ -93,54 +90,25 @@ class MinHashLSH:
         Keys are unique; re-inserting an existing key raises ``ValueError``
         (remove first), matching the append-only build the paper assumes.
         """
-        lean = as_lean(signature)
-        if lean.num_perm != self.num_perm:
-            raise ValueError(
-                "signature num_perm %d does not match index num_perm %d"
-                % (lean.num_perm, self.num_perm)
-            )
-        if key in self._keys:
-            raise ValueError("key %r is already in the index" % (key,))
-        self._keys[key] = lean
-        for i in range(self.b):
-            band = pack_row(lean.hashvalues, i * self.r, (i + 1) * self.r,
-                            self._band_dtype)
-            self._tables[i].insert(band, key)
+        self._forest.insert(key, signature)
 
     def insert_batch(self, keys: Sequence[Hashable], batch,
                      seeds=None) -> None:
-        """Index many signatures in one vectorised pass.
+        """Index many signatures in one pass.
 
         Equivalent to ``for key, sig in zip(keys, batch): insert(key,
-        sig)``: per band, the bucket keys of the whole block are packed
-        with one ``tobytes`` pass and filed through the table's bulk
-        :meth:`~repro.lsh.storage.DictHashTableStorage.insert_packed`
-        path.
+        sig)``; see :meth:`PrefixForest.insert_batch` (the buckets are
+        built from the whole matrix on the first query).
         ``seeds`` is a scalar or per-row sequence, defaulting to the
         batch's seed for a :class:`SignatureBatch` and to 1 otherwise.
         When the matrix is read-only the stored signatures alias its
         rows instead of copying them.
         """
-        keys, matrix, signatures = prepare_bulk_insert(
-            keys, batch, seeds, self.num_perm, self._keys, "index")
-        if not keys:
-            return
-        self._keys.update(zip(keys, signatures))
-        stride = self.r * self._band_dtype.itemsize
-        for i in range(self.b):
-            buf = pack_block(matrix, i * self.r, (i + 1) * self.r,
-                             self._band_dtype)
-            self._tables[i].insert_packed(buf, stride, keys)
+        self._forest.insert_batch(keys, batch, seeds)
 
     def remove(self, key: Hashable) -> None:
         """Remove a key and all its bucket entries."""
-        lean = self._keys.pop(key, None)
-        if lean is None:
-            raise KeyError(key)
-        for i in range(self.b):
-            band = pack_row(lean.hashvalues, i * self.r, (i + 1) * self.r,
-                            self._band_dtype)
-            self._tables[i].remove(band, key)
+        self._forest.remove(key)
 
     # ------------------------------------------------------------------ #
     # Queries
@@ -148,61 +116,36 @@ class MinHashLSH:
 
     def query(self, signature: MinHash | LeanMinHash) -> set:
         """Keys whose signatures collide with the query in >= 1 band."""
-        lean = as_lean(signature)
-        if lean.num_perm != self.num_perm:
-            raise ValueError(
-                "signature num_perm %d does not match index num_perm %d"
-                % (lean.num_perm, self.num_perm)
-            )
-        out: set = set()
-        for i in range(self.b):
-            band = pack_row(lean.hashvalues, i * self.r, (i + 1) * self.r,
-                            self._band_dtype)
-            out |= self._tables[i].get_view(band)
-        return out
+        return self._forest.query(signature, self.b, self.r)
 
     def query_batch(self, batch) -> list[set]:
-        """:meth:`query` for many signatures at once, band by band.
+        """:meth:`query` for many signatures at once.
 
         ``batch`` is a :class:`~repro.minhash.batch.SignatureBatch`, an
         ``(n, num_perm)`` matrix, or a sequence of signatures.  Returns
         one result set per row, in order — exactly
-        ``[self.query(s) for s in batch]``, but all bucket keys of a band
-        are packed with one ``tobytes`` pass and probed against that
-        band's table in one fused storage call (which vectorises large
-        probes behind a sorted-hash prefilter).
+        ``[self.query(s) for s in batch]``.
         """
-        matrix = as_signature_matrix(batch, self.num_perm)
-        n = matrix.shape[0]
-        if n == 0:
-            return []
-        results: list[set] = [set() for _ in range(n)]
-        rows = range(n)
-        stride = self.r * self._band_dtype.itemsize
-        for i in range(self.b):
-            buf = pack_block(matrix, i * self.r, (i + 1) * self.r,
-                             self._band_dtype)
-            self._tables[i].merge_packed(buf, stride, results, rows)
-        return results
+        return self._forest.query_batch(batch, self.b, self.r)
 
     def get_signature(self, key: Hashable) -> LeanMinHash:
         """The stored signature for ``key`` (KeyError when absent)."""
-        return self._keys[key]
+        return self._forest.get_signature(key)
 
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
 
     def __contains__(self, key: Hashable) -> bool:
-        return key in self._keys
+        return key in self._forest
 
     def __len__(self) -> int:
-        return len(self._keys)
+        return len(self._forest)
 
     def is_empty(self) -> bool:
-        return not self._keys
+        return self._forest.is_empty()
 
     def __repr__(self) -> str:
         return ("MinHashLSH(threshold=%.3f, num_perm=%d, b=%d, r=%d, keys=%d)"
                 % (self.threshold, self.num_perm, self.b, self.r,
-                   len(self._keys)))
+                   len(self._forest)))

@@ -115,10 +115,10 @@ class LeanMinHash:
 
         One ``ndarray.tobytes`` call per probe — faster to build and hash
         than a tuple of Python ints, and prefix-sliceable: the first
-        ``d * itemsize`` bytes equal ``band(start, start + d)``, which is
-        what the prefix-forest depth tables key on.  The batch query path
-        produces the same bytes for whole signature matrices in one call
-        (:func:`repro.minhash.batch.pack_band_keys`).
+        ``d * itemsize`` bytes equal ``band(start, start + d)``, the
+        depth-``d`` prefix of a prefix-forest tree.
+        :func:`repro.minhash.batch.pack_band_keys` produces the same
+        bytes for whole signature matrices in one call.
         """
         return self.hashvalues[start:stop].tobytes()
 

@@ -15,7 +15,7 @@ repo.  This module supplies the worker side of the bargain:
   :func:`repro.persistence.load_ensemble` with ``mmap=True``: the
   signature matrix is an ``np.memmap`` of the shared file, so the OS
   page cache holds **one** copy of the signature bytes regardless of
-  the worker count (only the per-worker bucket tables are private).
+  the worker count (only the per-worker bucket arrays are private).
   Workers that die mid-task are respawned and their tasks retried on a
   healthy worker — the caller always gets complete, bit-correct
   results or an exception, never a silent partial answer.
@@ -77,7 +77,7 @@ START_METHOD_ENV = "REPRO_PROCPOOL_START_METHOD"
 
 # Worker-side bound on cached open segments: a pool shared by many
 # PooledIndex sources (e.g. a sharded cluster plus test fixtures) must
-# not accumulate unbounded per-source bucket tables.
+# not accumulate unbounded per-source bucket arrays.
 _SOURCE_CACHE_SIZE = 8
 
 _WORKER_CRASH_EXIT = 17  # fault-injection exit code (tests)
@@ -588,7 +588,7 @@ class PooledIndex(QuerySurface):
                  slices: int | None = None, mmap: bool = True) -> None:
         from repro.core.partitioner import partitioner_name
 
-        if not getattr(index, "_forests", None):
+        if getattr(index, "_layout", None) is None:
             raise RuntimeError(
                 "the index is empty; call index() (or load one) before "
                 "attaching a process pool")

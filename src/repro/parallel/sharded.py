@@ -359,7 +359,7 @@ class ShardedEnsemble(QuerySurface):
         return list(self._shards)
 
     def materialize(self) -> None:
-        """Warm every shard's lazily pending bucket tables; see
+        """Build every depth of every shard's buckets now; see
         :meth:`repro.core.ensemble.LSHEnsemble.materialize`."""
         for shard in self._shards:
             shard.materialize()
@@ -448,7 +448,7 @@ class ShardedEnsemble(QuerySurface):
         (including the ``kernel`` hot-loop backend override) are
         forwarded to each shard's
         :func:`repro.persistence.load_ensemble` (same registry
-        resolution and lazy-materialisation semantics).
+        resolution and lazy per-depth bucket builds).
         """
         from repro.persistence import FormatError, load_ensemble
 

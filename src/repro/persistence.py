@@ -46,9 +46,9 @@ Format v2 (current, little-endian) — zero-copy columnar::
 
 The payload is one homogeneous matrix: a load is a single
 ``np.memmap`` (or ``np.frombuffer``) with **no per-entry
-deserialisation**, and because rows are written partition-major every
-partition's block is a contiguous zero-copy slice handed straight to
-the forests' vectorised ``insert_batch``.  The header records:
+deserialisation**, and because rows are written partition-major the
+mapped matrix *is* the loaded index's base tier, with no copy or
+reorder.  The header records:
 
 * ``partition_rows`` — rows per partition, delimiting the blocks;
 * ``partition_max_size`` — the per-partition true-size high-water mark,
@@ -59,10 +59,11 @@ the forests' vectorised ``insert_batch``.  The header records:
   index keeps the strategy it was built with.  Unknown names fail
   loudly; unregistered customs are recorded as ``null`` and require an
   explicit ``partitioner=`` override at load time;
-* ``storage`` — always ``"dict"``: there is one bucket table
-  (:class:`repro.lsh.storage.DictHashTableStorage`).  The field is
-  still written so files stay byte-compatible with older readers; a
-  header naming anything else fails loudly, an absent field is fine;
+* ``storage`` — always ``"dict"``, a format constant: buckets are not
+  persisted (:mod:`repro.forest.layout` builds them from the matrix
+  per depth, on first use).  The field is still written so files stay
+  byte-identical for older readers; a header naming anything else
+  fails loudly, an absent field is fine;
 * ``seed_dtype`` — ``"<u4"`` normally, escalated to ``"<i8"`` when a
   seed does not fit in 32 bits.
 
@@ -102,8 +103,8 @@ __all__ = ["save_ensemble", "load_ensemble", "read_header", "FormatError",
 
 _MAGIC = b"LSHE"
 _VERSION = 2
-# The one bucket table's header name, written as a constant (see the
-# module docstring) and the only value the reader accepts.
+# A format constant (see the module docstring) and the only value the
+# reader accepts.
 _STORAGE_NAME = "dict"
 _MANIFEST_VERSION = 3
 _MANIFEST_NAME = "manifest.json"
@@ -286,12 +287,8 @@ def _columnar_export_state(index: LSHEnsemble) -> tuple[dict, list]:
         routed = index._assign_partitions(np.clip(sizes, lo, hi))
         order = np.argsort(routed, kind="stable")
         order_list = order.tolist()
-        # `routed` already names each key's forest; fetching through it
-        # avoids re-deriving the route per key (a clamp + linear
-        # partition scan) inside index.get_signature.
-        forests = index._forests
-        signatures = [forests[int(routed[j])].get_signature(all_keys[j])
-                      for j in order_list]
+        held = index._signatures
+        signatures = [held[all_keys[j]] for j in order_list]
         header = _base_header(index)
         header.update({
             "keys": [all_keys[j] for j in order_list],
@@ -673,8 +670,8 @@ def load_ensemble(path: str | Path, *, partitioner=None, kernel=None,
     deterministically from them with the saved partition bounds and
     high-water marks).  Snapshots load through one numpy view of the
     signature matrix — ``mmap=True`` (the default) maps it from disk so
-    signature pages are only faulted in as queries touch them, and the
-    per-depth bucket tables materialise lazily on first probe.
+    signature pages are only faulted in as queries touch them, and each
+    depth's buckets are built the first time a query reaches it.
 
     Parameters
     ----------

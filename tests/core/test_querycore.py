@@ -48,11 +48,16 @@ def test_sizes_normalisation_message_has_one_home():
 
 
 def test_the_one_plug_seams_stay_retired():
-    # One bucket table, one single-file snapshot format, two kernels:
+    # One bucket layout, one single-file snapshot format, two kernels:
     # the storage-backend interface/registry, the v1 reader and the
-    # numba backend each had exactly one plug and were removed.
+    # numba backend each had exactly one plug and were removed; the
+    # dict-of-sets tables, their lazy fill and the tests-only exports
+    # went when the sorted per-depth arrays became the only buckets.
     retired = re.compile(r"\b(storage_factory|HashTableStorage|BandedStorage"
-                         r"|_load_v1|numba_impl|from numba)\b")
+                         r"|_load_v1|numba_impl|from numba"
+                         r"|DictHashTableStorage|insert_packed|merge_packed"
+                         r"|_ensure_depth|_route_locked|JoinDiscovery"
+                         r"|MinHashLSHForest)\b")
     src = Path(repro.__file__).parent
     found = {(path.relative_to(src).as_posix(), match.group())
              for path in sorted(src.rglob("*.py"))

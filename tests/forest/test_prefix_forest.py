@@ -11,6 +11,12 @@ def sig(values, num_perm=64):
     return MinHash.from_values(values, num_perm=num_perm)
 
 
+def built_depths(forest):
+    """The depths whose buckets the forest has built so far."""
+    layout = forest._layout
+    return () if layout is None else layout.built_depths
+
+
 class TestDefaultShape:
     def test_paper_shape(self):
         assert default_forest_shape(256) == (32, 8)
@@ -320,16 +326,24 @@ class TestInsertBatch:
 
     def test_materialize_idempotent(self):
         loop, bulk, keys, sigs = self._pair()
+        assert built_depths(bulk) == ()
         bulk.materialize()
+        depths = {r: bulk._layout.depth(r) for r in range(1, 9)}
+        assert built_depths(bulk) == tuple(range(1, 9))
         bulk.materialize()
+        assert all(bulk._layout.depth(r) is index
+                   for r, index in depths.items())
         assert bulk.query(sigs[0], 8, 8) == loop.query(sigs[0], 8, 8)
 
     def test_insert_after_batch_keeps_blocks_lazy(self):
         loop, bulk, keys, sigs = self._pair()
+        assert bulk.query(sigs[2], 2, 2) == loop.query(sigs[2], 2, 2)
+        assert built_depths(bulk) == (2,)  # a query builds its depth only
         extra = sig(["y1", "y2", "y3"])
         bulk.insert("extra2", extra)
-        assert bulk._pending  # dynamic insert must not force the fill
+        assert built_depths(bulk) == ()  # dynamic insert builds no depth
         loop.insert("extra2", extra)
         for b, r in ((2, 2), (8, 8)):
             assert bulk.query(extra, b, r) == loop.query(extra, b, r)
             assert bulk.query(sigs[2], b, r) == loop.query(sigs[2], b, r)
+        assert built_depths(bulk) == (2, 8)

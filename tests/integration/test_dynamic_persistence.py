@@ -410,16 +410,18 @@ class TestMutatingLoadedIndex:
         return domains, index, path
 
     @staticmethod
-    def _has_pending(index):
-        return any(forest._pending for forest in index._forests)
+    def _built(index):
+        """The depths whose base-tier buckets exist so far."""
+        return index._layout.built_depths
 
     def test_insert_before_any_query_keeps_lazy_blocks_correct(
             self, tmp_path):
         domains, orig, path = self._saved(tmp_path)
-        loaded = load_ensemble(path)  # mmap, nothing materialised yet
-        assert self._has_pending(loaded)
+        loaded = load_ensemble(path)  # mmap, no depth built yet
+        assert self._built(loaded) == ()
         new = {"n%d" % j for j in range(35)}
         loaded.insert("newcomer", sig(new), len(new))
+        assert self._built(loaded) == ()  # insert builds no depth
         domains["newcomer"] = new
         # Different thresholds reach different depths r, materialising
         # different lazy tables with the delta merge active throughout.
@@ -428,21 +430,26 @@ class TestMutatingLoadedIndex:
                 values = domains[key]
                 assert key in loaded.query(sig(values), size=len(values),
                                            threshold=threshold)
+        # Queries built only the depths they reached.
+        reached = self._built(loaded)
+        assert reached and len(reached) < loaded.max_depth
+        loaded.materialize()
+        assert self._built(loaded) == tuple(range(1, loaded.max_depth + 1))
 
     def test_remove_on_loaded_index_stays_lazy(self, tmp_path):
         domains, orig, path = self._saved(tmp_path)
         loaded = load_ensemble(path)
-        assert self._has_pending(loaded)
+        assert self._built(loaded) == ()
         loaded.remove("d5")
-        # Tombstoning must not force the whole index to materialise
-        # (physical removal used to call forest.materialize()).
-        assert self._has_pending(loaded)
+        # Tombstoning must not build any depth of the base tier.
+        assert self._built(loaded) == ()
         found = loaded.query(sig(domains["d5"]), size=len(domains["d5"]),
                              threshold=0.0)
         assert "d5" not in found
-        # The lazily materialised tables still physically contain d5;
-        # only the tombstone filter hides it.
+        # The base layout still physically contains d5; only the
+        # tombstone filter hides it.
         assert "d5" in loaded._sizes
+        assert "d5" in loaded._layout.keys.tolist()
 
     def test_mutations_then_materialize_matches_incremental(self, tmp_path):
         domains, orig, path = self._saved(tmp_path)

@@ -176,9 +176,11 @@ class TestProbeHitsParity:
         sorted_hashes = np.sort(
             rng.integers(0, 2 ** 63, size=9000, dtype=np.uint64))
         index = SortedHashes(sorted_hashes)
-        probes = sorted_hashes[:32].copy()
+        # Enough probes to take the table path (small sets bisect).
+        probes = sorted_hashes[:512].copy()
         kernel.probe_hits(index, probes)
         first = index._aux
+        assert first is not None
         kernel.probe_hits(index, probes)
         assert index._aux is first
 
