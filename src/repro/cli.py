@@ -891,15 +891,11 @@ def _cmd_info(args: argparse.Namespace) -> int:
           % (index.num_trees, index.max_depth))
     print("domain sizes:   min %d, median %d, max %d"
           % (sizes[0], sizes[len(sizes) // 2], sizes[-1]))
-    lo = index.partitions[0].lower
-    hi = index.partitions[-1].upper - 1
-    print("partitions (%d):" % len(index.partitions))
-    for p in index.partitions:
-        count = sum(
-            1 for k in index.keys()
-            if min(max(index.size_of(k), lo), hi) in p
-        )
-        print("  [%8d, %8d)  %d domains" % (p.lower, p.upper, count))
+    partitions = index.stats()["partitions"]
+    print("partitions (%d):" % len(partitions))
+    for p in partitions:
+        print("  [%8d, %8d)  %d domains"
+              % (p["lower"], p["upper"], p["count"]))
     return 0
 
 

@@ -61,9 +61,10 @@ def containment_to_jaccard(t, x: float, q: float):
     return out
 
 
-def jaccard_to_containment(s, x: float, q: float):
-    """``t̂_{x,q}(s) = (x/q + 1) s / (1 + s)`` — Eq. 6, vectorised over ``s``."""
-    if q <= 0 or x <= 0:
+def jaccard_to_containment(s, x, q: float):
+    """``t̂_{x,q}(s) = (x/q + 1) s / (1 + s)`` — Eq. 6, vectorised over
+    ``s`` and ``x`` (one candidate size per estimate)."""
+    if q <= 0 or np.any(np.asarray(x) <= 0):
         raise ValueError("domain sizes must be positive")
     s = np.asarray(s, dtype=np.float64)
     out = (x / q + 1.0) * s / (1.0 + s)

@@ -54,6 +54,8 @@ from collections.abc import Hashable, Iterable
 
 import numpy as np
 
+from repro.forest.layout import key_column
+
 __all__ = ["DeltaTier"]
 
 # A staged batch at least half the size of the flushed inner index
@@ -92,8 +94,8 @@ class DeltaTier:
         tier = cls(make_index)
         tier._index = inner_index
         tier._entries = {
-            key: (inner_index.get_signature(key), inner_index._sizes[key])
-            for key in inner_index._sizes
+            key: (inner_index.get_signature(key), inner_index.size_of(key))
+            for key in inner_index.keys()
         }
         return tier
 
@@ -141,7 +143,7 @@ class DeltaTier:
         self._fresh.clear()
 
     def _fill_inner_locked(self, fresh: list) -> None:
-        flushed = 0 if self._index is None else len(self._index._sizes)
+        flushed = 0 if self._index is None else len(self._index)
         if (self._index is not None and flushed >= _REBUILD_FLOOR
                 and 2 * len(fresh) < flushed):
             # Small top-up: bulk-route into the existing delta
@@ -149,18 +151,8 @@ class DeltaTier:
             # exact again after the next full rebuild).  Mutates the
             # inner index in place, which is why probes hold the same
             # lock as flushes.
-            inner = self._index
-            matrix = np.empty((len(fresh), inner.num_perm),
-                              dtype=np.uint64)
-            seeds = np.empty(len(fresh), dtype=np.int64)
-            sizes = []
-            for row, key in enumerate(fresh):
-                signature, size = self._entries[key]
-                matrix[row] = signature.hashvalues
-                seeds[row] = signature.seed
-                sizes.append(size)
-            inner._bulk_fill_locked(fresh, sizes, matrix, seeds,
-                                    initial=False)
+            self._index._bulk_fill_locked(self.columns(fresh),
+                                          initial=False)
         else:
             index = self._make_index()
             index.index(
@@ -212,6 +204,17 @@ class DeltaTier:
         """``(key, signature, size)`` triples for every delta entry."""
         for key, (signature, size) in self._entries.items():
             yield key, signature, size
+
+    def columns(self, keys: list | None = None) -> tuple:
+        """Row-aligned ``(keys, sizes, matrix, seeds)`` of ``keys``
+        (non-empty; default every entry, in insertion order)."""
+        keys = list(self._entries) if keys is None else keys
+        entries = [self._entries[key] for key in keys]
+        return (key_column(keys),
+                np.array([size for _, size in entries], dtype=np.int64),
+                np.stack([signature.hashvalues for signature, _ in entries]),
+                np.array([signature.seed for signature, _ in entries],
+                         dtype=np.int64))
 
     def inner_index(self):
         """The flushed inner ensemble (flushes first; None when empty)."""

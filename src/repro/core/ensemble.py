@@ -78,10 +78,10 @@ from repro.core.tuning import (
     ratio_buckets,
     tune_params_quantized,
 )
-from repro.forest.layout import BucketLayout
+from repro.forest.layout import BucketLayout, key_column
 from repro.forest.prefix_forest import default_forest_shape
 from repro.kernels import band_dtype, get_kernel, validate_bbit
-from repro.minhash.batch import as_lean, prepare_bulk_insert
+from repro.minhash.batch import as_lean
 from repro.minhash.lean import LeanMinHash
 from repro.minhash.minhash import MinHash
 from repro.stats.skewness import skewness_from_sums
@@ -207,15 +207,15 @@ class LSHEnsemble(QuerySurface):
         self._kernel = get_kernel(kernel)
         self.bbit = validate_bbit(bbit)
         self._partitions: list[Partition] = []
-        # The base tier's buckets; None until the index is built.
+        # The base tier is its row-aligned, read-only columns: the
+        # layout's matrix and keys (rows partition-major; None until the
+        # build), seeds, sizes and one key -> row map.  Tombstoned rows
+        # stay physically present (removal is logical), so the live key
+        # set is (base - tombstones) | delta.
         self._layout: BucketLayout | None = None
-        # Keys *physically* present in the base tier, including
-        # tombstoned ones (the base tier is immutable after the build;
-        # removal is logical), with their sizes and signatures (rows of
-        # the layout's matrix, in its order).  The live key set is
-        # (base - tombstones) | delta.
-        self._sizes: dict[Hashable, int] = {}
-        self._signatures: dict[Hashable, LeanMinHash] = {}
+        self._seeds = np.empty(0, dtype=np.int64)
+        self._row_sizes = np.empty(0, dtype=np.int64)
+        self._rows: dict[Hashable, int] = {}
         # Largest *live* true size routed into each partition.  Sizes
         # clamped at build time (explicit partitions narrower than the
         # data) can exceed the partition's nominal upper bound; queries
@@ -315,7 +315,9 @@ class LSHEnsemble(QuerySurface):
                             "key %r is already in the index" % (key,))
                     seen.add(key)
             self._partition_max_size = [0] * len(self._partitions)
-            self._bulk_fill_locked(keys, sizes, matrix, seeds)
+            self._bulk_fill_locked((key_column(keys),
+                                    np.asarray(sizes, dtype=np.int64),
+                                    matrix, seeds))
             # A fresh build is served immediately: build every depth's
             # buckets now rather than on the first queries.  Loaded
             # snapshots stay lazy — see _restore_columnar_locked.
@@ -351,81 +353,88 @@ class LSHEnsemble(QuerySurface):
             (assign_partition(int(c), parts) for c in clamped),
             dtype=np.intp, count=len(clamped))
 
-    def _bulk_fill_locked(self, keys: list, sizes: list[int],
-                          matrix: np.ndarray, seeds: np.ndarray,
+    def _columns(self) -> tuple:
+        """The base tier's row-aligned ``(keys, sizes, matrix, seeds)``,
+        the one tuple every fill, gather and delete below moves."""
+        layout = self._layout
+        return layout.keys, self._row_sizes, layout.matrix, self._seeds
+
+    def _row_partitions(self) -> np.ndarray:
+        """The partition index of every base row."""
+        return np.repeat(np.arange(len(self._partitions)),
+                         self._layout.partition_rows)
+
+    def _live_mask(self) -> np.ndarray | None:
+        """Which base rows are not tombstoned; None when all are live."""
+        if not self._tombstones:
+            return None
+        live = np.ones(len(self._rows), dtype=bool)
+        live[[self._rows[key] for key in self._tombstones]] = False
+        return live
+
+    def _bulk_fill_locked(self, columns: tuple,
                           initial: bool = True) -> None:
         """Route rows to partitions and lay the base tier out over them.
 
-        ``initial=True`` (a build or rebalance) makes these rows the
-        whole base tier and seeds the drift monitor from them;
+        ``columns`` is ``(keys, sizes, matrix, seeds)``, row-aligned
+        arrays.  ``initial=True`` (a build or rebalance) makes these
+        rows the whole base tier and seeds the drift monitor from them;
         ``initial=False`` (the delta tier's vectorised top-up flush)
-        adds them to the rows already there — the layout is immutable,
-        so it is rebuilt over old and new rows together — and folds
-        them into the monitor incrementally.  Callers own key
+        appends them to the rows already there — the layout is
+        immutable, so it is rebuilt over old and new rows together — and
+        folds them into the monitor incrementally.  Callers own key
         deduplication against the existing contents.
         """
         parts = self._partitions
-        sizes_arr = np.asarray(sizes, dtype=np.int64)
+        sizes = columns[1]
         idx = self._assign_partitions(
-            np.clip(sizes_arr, parts[0].lower, parts[-1].upper - 1))
+            np.clip(sizes, parts[0].lower, parts[-1].upper - 1))
         peaks = np.zeros(len(parts), dtype=np.int64)
-        np.maximum.at(peaks, idx, sizes_arr)
+        np.maximum.at(peaks, idx, sizes)
         self._partition_max_size = [
             max(have, peak) for have, peak
             in zip(self._partition_max_size, peaks.tolist())]
         counts = np.bincount(idx, minlength=len(parts)).tolist()
-        self._sizes.update(zip(keys, sizes))
+        added = sizes.tolist()
+        if not initial:
+            columns = tuple(np.concatenate(pair)
+                            for pair in zip(self._columns(), columns))
+            idx = np.concatenate((self._row_partitions(), idx))
+        # Partition-major, stable within a partition; this gather is the
+        # only copy of the rows.
+        order = np.argsort(idx, kind="stable")
+        self._set_base_locked(*(column[order] for column in columns),
+                              np.bincount(idx, minlength=len(parts)))
         if initial:
-            self._install_base_locked(keys, matrix, seeds, idx)
-            self._init_drift_state(counts, sizes)
+            self._init_drift_state(counts, added)
             return
-        held = self._signatures
-        self._install_base_locked(
-            list(held) + list(keys),
-            np.concatenate((self._layout.matrix, matrix)),
-            np.concatenate((np.fromiter((s.seed for s in held.values()),
-                                        dtype=np.int64, count=len(held)),
-                            seeds)),
-            np.concatenate((np.repeat(np.arange(len(parts)),
-                                      self._layout.partition_rows), idx)))
         for i, count in enumerate(counts):
             self._base_live_counts[i] += count
-        added = self._moments_of(sizes)
         self._moments = [have + new for have, new
-                         in zip(self._moments, added)]
+                         in zip(self._moments, self._moments_of(added))]
         self._base_source = None
 
-    def _install_base_locked(self, keys: list, matrix: np.ndarray,
-                             seeds: np.ndarray, idx: np.ndarray) -> None:
-        """Make these rows the base tier, ordered partition-major
-        (``idx`` names each row's partition; stable within one)."""
-        order = np.argsort(idx, kind="stable")
-        seeds = seeds[order]
-        # Signatures of one build usually share a seed; collapsing to a
-        # scalar skips a per-row int() in the signature wrap loop.
-        if seeds.size and bool((seeds == seeds[0]).all()):
-            seeds = int(seeds[0])
-        self._set_base_locked(
-            [keys[j] for j in order.tolist()], matrix[order], seeds,
-            np.bincount(idx, minlength=len(self._partitions)))
-
-    def _set_base_locked(self, keys: list, matrix: np.ndarray, seeds,
+    def _set_base_locked(self, keys: np.ndarray, sizes: np.ndarray,
+                         matrix: np.ndarray, seeds: np.ndarray,
                          partition_rows) -> None:
-        """Base tier := ``matrix`` (rows already partition-major,
-        ``partition_rows`` per partition): every row wrapped as a
-        zero-copy signature (a read-only matrix — e.g. a memory-mapped
-        snapshot — is aliased, never copied) and a fresh layout whose
-        depths are built on first use."""
-        keys, matrix, signatures = prepare_bulk_insert(
-            keys, matrix, seeds, self.num_perm, None, "index")
-        self._signatures = dict(zip(keys, signatures))
-        self._layout = self._new_layout(matrix, keys, partition_rows)
-
-    def _new_layout(self, matrix: np.ndarray, keys: list,
-                    partition_rows) -> BucketLayout:
-        return BucketLayout(matrix, keys, self.num_trees, self.max_depth,
-                            self._kernel, band_dtype(self.bbit),
-                            partition_rows)
+        """Base tier := these row-aligned columns (rows already
+        partition-major, ``partition_rows`` per partition) and a fresh
+        layout whose depths are built on first use.  The columns are
+        frozen, never copied — a memory-mapped snapshot stays mapped."""
+        rows = dict(zip(keys.tolist(), range(len(keys))))
+        if len(rows) != len(keys):
+            raise ValueError("duplicate keys in snapshot")
+        if matrix.shape != (len(keys), self.num_perm):
+            raise ValueError("got %d keys for a %s signature matrix"
+                             % (len(keys), matrix.shape))
+        for column in (keys, sizes, matrix, seeds):
+            column.setflags(write=False)
+        self._rows = rows
+        self._row_sizes = sizes
+        self._seeds = seeds
+        self._layout = BucketLayout(matrix, keys, self.num_trees,
+                                    self.max_depth, self._kernel,
+                                    band_dtype(self.bbit), partition_rows)
 
     def _init_drift_state(self, counts: list[int],
                           sizes: Iterable[int]) -> None:
@@ -477,14 +486,14 @@ class LSHEnsemble(QuerySurface):
         if self._layout is not None:
             raise RuntimeError(
                 "restore requires an empty index; this one is built")
-        if len(set(keys)) != len(keys):
-            raise ValueError("duplicate keys in snapshot")
+        self._set_base_locked(key_column(keys),
+                              np.asarray(sizes, dtype=np.int64), matrix,
+                              np.asarray(seeds, dtype=np.int64),
+                              partition_rows)
         self._partitions = list(partitions)
         self._partition_max_size = [int(m) for m in partition_max_size]
-        self._set_base_locked(list(keys), matrix, seeds, partition_rows)
-        sizes = [int(s) for s in sizes]
-        self._sizes.update(zip(keys, sizes))
-        self._init_drift_state(list(partition_rows), sizes)
+        self._init_drift_state(list(partition_rows),
+                               self._row_sizes.tolist())
 
     def insert(self, key: Hashable, signature: MinHash | LeanMinHash,
                size: int) -> None:
@@ -543,17 +552,13 @@ class LSHEnsemble(QuerySurface):
         """Physically remove from the base tier (delta inner index only —
         the public :meth:`remove` tombstones instead); the layout is
         rebuilt without the row."""
-        size = self._sizes.pop(key, None)
-        if size is None:
-            raise KeyError(key)
+        row = self._rows[key]
+        size = int(self._row_sizes[row])
         i = self._route_index(size)
-        keys = list(self._signatures)  # layout row order
-        row = keys.index(key)
-        del keys[row], self._signatures[key]
         partition_rows = list(self._layout.partition_rows)
         partition_rows[i] -= 1
-        self._layout = self._new_layout(
-            np.delete(self._layout.matrix, row, axis=0), keys,
+        self._set_base_locked(
+            *(np.delete(column, row, axis=0) for column in self._columns()),
             partition_rows)
         self._base_live_counts[i] -= 1
         self._track_size(size, -1)
@@ -576,8 +581,8 @@ class LSHEnsemble(QuerySurface):
                 size = self._delta.discard(key)
                 self._delta_routed_counts[self._route_index(size)] -= 1
                 self._track_size(size, -1)
-            elif key in self._sizes and key not in self._tombstones:
-                size = self._sizes[key]
+            elif key in self._rows and key not in self._tombstones:
+                size = int(self._row_sizes[self._rows[key]])
                 self._tombstones.add(key)
                 i = self._route_index(size)
                 self._base_live_counts[i] -= 1
@@ -595,31 +600,19 @@ class LSHEnsemble(QuerySurface):
         ``remove()`` of a partition's maximal key would otherwise leave
         the old maximum as the tuning bound ``u`` forever, inflating
         every subsequent (b, r) selection for that partition.  One
-        vectorised pass over the live base keys restores the exact
-        bound; delta entries carry their own partitions and do not
-        participate.
+        vectorised pass over the live rows of the sizes column restores
+        the exact bound; delta entries carry their own partitions and
+        do not participate.
         """
         if not self._live_max_dirty:
             return
-        live_max = [0] * len(self._partitions)
-        if self._sizes:
-            keys = list(self._sizes)
-            sizes = np.fromiter((self._sizes[k] for k in keys),
-                                dtype=np.int64, count=len(keys))
-            if self._tombstones:
-                tombstones = self._tombstones
-                mask = np.fromiter((k not in tombstones for k in keys),
-                                   dtype=bool, count=len(keys))
-                sizes = sizes[mask]
-            if sizes.size:
-                parts = self._partitions
-                clamped = np.clip(sizes, parts[0].lower,
-                                  parts[-1].upper - 1)
-                idx = self._assign_partitions(clamped)
-                peaks = np.zeros(len(parts), dtype=np.int64)
-                np.maximum.at(peaks, idx, sizes)
-                live_max = [int(m) for m in peaks]
-        self._partition_max_size = live_max
+        sizes, idx = self._row_sizes, self._row_partitions()
+        live = self._live_mask()
+        if live is not None:
+            sizes, idx = sizes[live], idx[live]
+        peaks = np.zeros(len(self._partitions), dtype=np.int64)
+        np.maximum.at(peaks, idx, sizes)
+        self._partition_max_size = peaks.tolist()
         # Cleared only after the swap: a concurrent query that observes
         # the flag down must also observe the recomputed bounds (the
         # recompute is idempotent, so a duplicated pass is benign).
@@ -678,7 +671,7 @@ class LSHEnsemble(QuerySurface):
         return {
             "generation": self._generation,
             "mutation_epoch": self._mutation_epoch,
-            "base_keys": len(self._sizes) - len(self._tombstones),
+            "base_keys": len(self._rows) - len(self._tombstones),
             "delta_keys": delta_keys,
             "tombstones": len(self._tombstones),
             "live_counts": counts,
@@ -720,9 +713,11 @@ class LSHEnsemble(QuerySurface):
         index answers queries identically to a from-scratch
         :meth:`index` over the live entries.
 
-        Signature rows backed by a memory-mapped snapshot are copied
-        into fresh memory here — after a rebalance the index no longer
-        aliases the file it was loaded from.
+        The live base rows are gathered in row order, then the delta's
+        rows are appended; the new partition-major order is stable over
+        that sequence.  Signature rows backed by a memory-mapped
+        snapshot are copied into fresh memory here — after a rebalance
+        the index no longer aliases the file it was loaded from.
 
         Returns a summary dict (timings, tier sizes folded in, drift
         before/after) and bumps ``generation``.
@@ -734,44 +729,29 @@ class LSHEnsemble(QuerySurface):
             raise ValueError("cannot rebalance an index with no live keys")
         before = self.drift_stats()
         t0 = time.perf_counter()
-        folded = {"base": len(self._sizes) - len(self._tombstones),
+        folded = {"base": len(self._rows) - len(self._tombstones),
                   "delta": len(self._delta) if self._delta else 0,
                   "tombstones": len(self._tombstones)}
-        matrix = np.empty((n, self.num_perm), dtype=np.uint64)
-        seeds = np.empty(n, dtype=np.int64)
-        keys: list = []
-        sizes: list[int] = []
-        row = 0
-        tombstones = self._tombstones
-        for key, size in self._sizes.items():
-            if key in tombstones:
-                continue
-            signature = self._signatures[key]
-            matrix[row] = signature.hashvalues
-            seeds[row] = signature.seed
-            keys.append(key)
-            sizes.append(int(size))
-            row += 1
-        if self._delta is not None:
-            for key, signature, size in self._delta.items():
-                matrix[row] = signature.hashvalues
-                seeds[row] = signature.seed
-                keys.append(key)
-                sizes.append(int(size))
-                row += 1
+        columns = self._columns()
+        live = self._live_mask()
+        if live is not None:
+            columns = tuple(column[live] for column in columns)
+        if folded["delta"]:
+            columns = tuple(np.concatenate(pair) for pair
+                            in zip(columns, self._delta.columns()))
         if num_partitions is not None:
             if num_partitions < 1:
                 raise ValueError("num_partitions must be >= 1")
             self.num_partitions = int(num_partitions)
-        partitions = self._partitioner(sizes, self.num_partitions)
+        partitions = self._partitioner(columns[1].tolist(),
+                                       self.num_partitions)
         self._partitions = list(partitions)
         self._partition_max_size = [0] * len(self._partitions)
         self._live_max_dirty = False
-        self._sizes = {}
         self._tombstones = set()
         self._delta = None
         self._moments = [0, 0, 0, 0]
-        self._bulk_fill_locked(keys, sizes, matrix, seeds)
+        self._bulk_fill_locked(columns)
         self.materialize()
         self._generation += 1
         self._mutation_epoch += 1
@@ -799,13 +779,13 @@ class LSHEnsemble(QuerySurface):
         physical base keys.  Used by :mod:`repro.persistence`.
         """
         for key in tombstones:
-            size = self._sizes[key]
+            size = int(self._row_sizes[self._rows[key]])
             i = self._route_index(size)
             self._base_live_counts[i] -= 1
             self._track_size(size, -1)
         self._tombstones = set(tombstones)
         self._live_max_dirty = bool(self._tombstones)
-        if delta_index is not None and len(delta_index._sizes):
+        if delta_index is not None and len(delta_index):
             self._delta = DeltaTier.adopt(delta_index, self._delta_factory)
             for _, __, size in self._delta.items():
                 self._delta_routed_counts[self._route_index(size)] += 1
@@ -1079,10 +1059,13 @@ class LSHEnsemble(QuerySurface):
                     {key: self.size_of(key) for key in held})
 
     def _signature_of(self, key: Hashable) -> LeanMinHash:
-        """Signature of a *live* key (either tier); no tombstone check."""
+        """Signature of a *live* key (either tier); no tombstone check.
+        A base row is wrapped on demand, aliasing the matrix."""
         if self._delta is not None and key in self._delta:
             return self._delta.get_signature(key)
-        return self._signatures[key]
+        row = self._rows[key]
+        return LeanMinHash.wrap(int(self._seeds[row]),
+                                self._layout.matrix[row])
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -1090,21 +1073,9 @@ class LSHEnsemble(QuerySurface):
 
     def get_signature(self, key: Hashable) -> LeanMinHash:
         """The stored signature for ``key`` (KeyError when absent)."""
-        if self._delta is not None and key in self._delta:
-            return self._delta.get_signature(key)
-        if key not in self._sizes or key in self._tombstones:
+        if key not in self:
             raise KeyError(key)
         return self._signature_of(key)
-
-    def _live_items(self) -> Iterable[tuple[Hashable, int]]:
-        """``(key, size)`` for every live domain, base tier first."""
-        tombstones = self._tombstones
-        for key, size in self._sizes.items():
-            if key not in tombstones:
-                yield key, size
-        if self._delta is not None:
-            for key, _, size in self._delta.items():
-                yield key, size
 
     def stats(self) -> dict:
         """Operational statistics: partition fill and size spread.
@@ -1122,28 +1093,28 @@ class LSHEnsemble(QuerySurface):
     def _stats_locked(self) -> dict:
         if self._layout is None:
             raise RuntimeError("the index is empty; call index() first")
-        lo = self._partitions[0].lower
-        hi = self._partitions[-1].upper - 1
-        per_partition: list[dict] = [
-            {
-                "lower": p.lower,
-                "upper": p.upper,
-                "count": 0,
-                "min_size": None,
-                "max_size": None,
-            }
-            for p in self._partitions
-        ]
-        for key, size in self._live_items():
-            clamped = min(max(size, lo), hi)
-            i = assign_partition(clamped, self._partitions)
-            entry = per_partition[i]
-            entry["count"] += 1
-            if entry["min_size"] is None or size < entry["min_size"]:
-                entry["min_size"] = size
-            if entry["max_size"] is None or size > entry["max_size"]:
-                entry["max_size"] = size
-        counts = [e["count"] for e in per_partition]
+        parts = self._partitions
+        sizes, idx = self._row_sizes, self._row_partitions()
+        live = self._live_mask()
+        if live is not None:
+            sizes, idx = sizes[live], idx[live]
+        if self._delta is not None and len(self._delta):
+            extra = np.array([size for *_, size in self._delta.items()],
+                             dtype=np.int64)
+            sizes = np.concatenate((sizes, extra))
+            idx = np.concatenate((idx, self._assign_partitions(np.clip(
+                extra, parts[0].lower, parts[-1].upper - 1))))
+        counts = np.bincount(idx, minlength=len(parts)).tolist()
+        lows = np.full(len(parts), np.iinfo(np.int64).max)
+        highs = np.zeros(len(parts), dtype=np.int64)
+        np.minimum.at(lows, idx, sizes)
+        np.maximum.at(highs, idx, sizes)
+        per_partition = [
+            {"lower": p.lower, "upper": p.upper, "count": count,
+             "min_size": low if count else None,
+             "max_size": high if count else None}
+            for p, count, low, high in zip(parts, counts, lows.tolist(),
+                                           highs.tolist())]
         mean = sum(counts) / len(counts)
         variance = sum((c - mean) ** 2 for c in counts) / len(counts)
         return {
@@ -1151,7 +1122,7 @@ class LSHEnsemble(QuerySurface):
             "num_partitions": len(self._partitions),
             "partition_count_std": variance ** 0.5,
             "partitions": per_partition,
-            "base_keys": len(self._sizes) - len(self._tombstones),
+            "base_keys": len(self._rows) - len(self._tombstones),
             "delta_keys": len(self._delta) if self._delta is not None else 0,
             "tombstones": len(self._tombstones),
             "generation": self._generation,
@@ -1192,19 +1163,24 @@ class LSHEnsemble(QuerySurface):
             return self._delta.size_of(key)
         if key in self._tombstones:
             raise KeyError(key)
-        return self._sizes[key]
+        return int(self._row_sizes[self._rows[key]])
 
     def keys(self) -> Iterable[Hashable]:
-        return (key for key, _ in self._live_items())
+        """Every live key: base rows in row (partition-major) order,
+        then the delta tier's."""
+        tombstones = self._tombstones
+        yield from (key for key in self._rows if key not in tombstones)
+        if self._delta is not None:
+            yield from (key for key, _, __ in self._delta.items())
 
     def __contains__(self, key: Hashable) -> bool:
         if self._delta is not None and key in self._delta:
             return True
-        return key in self._sizes and key not in self._tombstones
+        return key in self._rows and key not in self._tombstones
 
     def __len__(self) -> int:
         delta = len(self._delta) if self._delta is not None else 0
-        return len(self._sizes) - len(self._tombstones) + delta
+        return len(self._rows) - len(self._tombstones) + delta
 
     def is_empty(self) -> bool:
         return len(self) == 0

@@ -34,9 +34,16 @@ import numpy as np
 
 from repro.kernels import ProbeIndex
 
-__all__ = ["BucketLayout"]
+__all__ = ["BucketLayout", "key_column"]
 
 _SALT = np.uint64(0x9E3779B97F4A7C15)
+
+
+def key_column(keys) -> np.ndarray:
+    """``keys`` as a 1-D object array (tuples stay whole elements)."""
+    if isinstance(keys, np.ndarray) and keys.dtype == object:
+        return keys
+    return np.fromiter(keys, dtype=object, count=len(keys))
 
 
 def _salts(slots: np.ndarray) -> np.ndarray:
@@ -80,7 +87,7 @@ class BucketLayout:
                  max_depth: int, kernel, dtype: np.dtype,
                  partition_rows=None) -> None:
         self.matrix = matrix
-        self.keys = np.fromiter(keys, dtype=object, count=len(keys))
+        self.keys = key_column(keys)
         self.partition_rows = ((len(self.keys),) if partition_rows is None
                                else tuple(int(c) for c in partition_rows))
         self.num_trees = num_trees

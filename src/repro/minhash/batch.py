@@ -55,12 +55,16 @@ def as_batch(batch) -> "SignatureBatch":
 
 def prepare_bulk_insert(keys, batch, seeds, num_perm: int, existing,
                         container_name: str):
-    """Shared prologue of the bulk-insert paths: validate and freeze.
+    """Prologue of :meth:`PrefixForest.insert_batch
+    <repro.forest.prefix_forest.PrefixForest.insert_batch>` (and so of
+    :class:`~repro.lsh.lsh.MinHashLSH`): validate and freeze.
 
     Normalises ``batch`` to an ``(n, num_perm)`` matrix, checks key
     count/duplicates (against ``existing`` too), freezes a writable
     matrix so stored signatures cannot be mutated through the caller's
     array, and wraps every row as a zero-copy :class:`LeanMinHash`.
+    :class:`~repro.core.ensemble.LSHEnsemble` does not use it: its base
+    tier keeps rows as columns and wraps one only when asked.
     ``seeds`` is a scalar or per-row sequence, defaulting to the batch's
     seed for a :class:`SignatureBatch` and to 1 otherwise (the MinHash
     default).  Returns ``(keys, matrix, signatures)`` with the matrix

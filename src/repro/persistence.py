@@ -261,40 +261,28 @@ def _write_header(fh, version: int, header: dict) -> None:
     fh.write(header_bytes)
 
 
-def _columnar_export_state(index: LSHEnsemble) -> tuple[dict, list]:
-    """Partition-major ordering + header shared by the v2 file writer
-    and the in-memory exporter (:func:`export_columnar`).
+def _columnar_export_state(index: LSHEnsemble) -> tuple[dict, np.ndarray,
+                                                         np.ndarray]:
+    """Header and payload columns shared by the v2 file writer and the
+    in-memory exporter (:func:`export_columnar`).
 
-    Groups keys partition-major (stable within a partition) so every
-    partition's rows land contiguous and load as views; the routing
-    reuses the index's own vectorised clamp + assign pass.  Keys come
-    from the *physical* base tier — for a dynamic index this includes
-    tombstoned rows (the manifest carries the tombstones).  Returns
-    ``(header, signatures)`` with ``signatures`` row-aligned to
-    ``header["keys"]`` (keys raw, not JSON-encoded — the file writer
-    encodes; bit-parity of the two export paths is structural because
-    both consume this one ordering).
+    The base tier's columns are the payload as they stand: rows are
+    partition-major, so each partition's rows load as views.  They are
+    the *physical* base tier — tombstoned rows included (the manifest
+    carries the tombstones).  Returns ``(header, seeds, matrix)``
+    row-aligned to ``header["keys"]`` (raw keys; the file writer
+    encodes them).
     """
     with index.locked():
-        partitions = index.partitions
-        lo, hi = partitions[0].lower, partitions[-1].upper - 1
         # Resolve any pending lazy live-max recompute so the header
         # records the exact (non-inflated) per-partition tuning bounds.
         index._resolve_live_max_locked()
-        all_keys = list(index._sizes)
-        sizes = np.fromiter((index._sizes[k] for k in all_keys),
-                            dtype=np.int64, count=len(all_keys))
-        routed = index._assign_partitions(np.clip(sizes, lo, hi))
-        order = np.argsort(routed, kind="stable")
-        order_list = order.tolist()
-        held = index._signatures
-        signatures = [held[all_keys[j]] for j in order_list]
+        keys, sizes, matrix, seeds = index._columns()
         header = _base_header(index)
         header.update({
-            "keys": [all_keys[j] for j in order_list],
-            "sizes": sizes[order].tolist(),
-            "partition_rows": np.bincount(
-                routed, minlength=len(partitions)).tolist(),
+            "keys": keys.tolist(),
+            "sizes": sizes.tolist(),
+            "partition_rows": list(index._layout.partition_rows),
             "partition_max_size": list(index._partition_max_size),
             "generation": index._generation,
             "mutation_epoch": index._mutation_epoch,
@@ -302,7 +290,7 @@ def _columnar_export_state(index: LSHEnsemble) -> tuple[dict, list]:
             "baseline_depth_cv": index._baseline_depth_cv,
             "baseline_skew": index._baseline_skew,
         })
-        return header, signatures
+        return header, seeds, matrix
 
 
 def _restore_recorded_state(index: LSHEnsemble, header: dict) -> None:
@@ -317,8 +305,7 @@ def _restore_recorded_state(index: LSHEnsemble, header: dict) -> None:
 
 
 def _save_v2(index: LSHEnsemble, fh) -> None:
-    header, signatures = _columnar_export_state(index)
-    seeds = np.asarray([sig.seed for sig in signatures], dtype=np.int64)
+    header, seeds, matrix = _columnar_export_state(index)
     seed_dtype = ("<u4" if seeds.size == 0
                   or (0 <= seeds.min() and seeds.max() < 2 ** 32)
                   else "<i8")
@@ -331,17 +318,14 @@ def _save_v2(index: LSHEnsemble, fh) -> None:
     _write_header(fh, 2, header)
     fh.write(memoryview(np.ascontiguousarray(
         seeds.astype(seed_dtype))).cast("B"))
-    # Stream the matrix in bounded chunks (~8 MB of staging) rather
-    # than materialising the whole payload — and a tobytes() copy of
-    # it — in RAM; at the paper's scale the payload is far larger than
-    # any sensible staging buffer.
+    # Write the matrix in ~8 MB slices: a slice of the (C-order,
+    # possibly memory-mapped) matrix is written without a copy, and a
+    # mapped matrix is faulted in one bounded slice at a time.
     rows_per_chunk = max(1, 8_000_000 // (index.num_perm * 8))
-    staging = np.empty((rows_per_chunk, index.num_perm), dtype="<u8")
-    for start in range(0, len(signatures), rows_per_chunk):
-        block = signatures[start:start + rows_per_chunk]
-        for i, sig in enumerate(block):
-            staging[i] = sig.hashvalues
-        fh.write(memoryview(staging[:len(block)]).cast("B"))
+    for start in range(0, len(matrix), rows_per_chunk):
+        block = np.ascontiguousarray(matrix[start:start + rows_per_chunk],
+                                     dtype="<u8")
+        fh.write(memoryview(block).cast("B"))
 
 
 # --------------------------------------------------------------------- #
@@ -355,7 +339,8 @@ def export_columnar(index: LSHEnsemble) -> dict:
     Returns ``{"header": dict, "seeds": int64 array, "matrix": uint64
     (n, num_perm) array}`` with rows ordered partition-major — exactly
     the bytes :func:`save_ensemble` would write at ``version=2``, minus
-    the file.  The whole dict is picklable, which is what the
+    the file.  The arrays are the index's own read-only columns, not
+    copies.  The whole dict is picklable, which is what the
     process-pool executor (:mod:`repro.parallel.procpool`) relies on to
     ship a dynamic index's small delta tier to worker processes
     without a disk round trip; :func:`import_columnar` rebuilds a
@@ -373,13 +358,7 @@ def export_columnar(index: LSHEnsemble) -> dict:
                 "always clean)")
         if not index.partitions:
             raise ValueError("cannot export an unbuilt index")
-        header, signatures = _columnar_export_state(index)
-        matrix = np.empty((len(signatures), index.num_perm),
-                          dtype=np.uint64)
-        seeds = np.empty(len(signatures), dtype=np.int64)
-        for row, signature in enumerate(signatures):
-            matrix[row] = signature.hashvalues
-            seeds[row] = signature.seed
+        header, seeds, matrix = _columnar_export_state(index)
         return {"header": header, "seeds": seeds, "matrix": matrix}
 
 
@@ -727,14 +706,14 @@ def _load_manifest(root: Path, partitioner, kernel,
                   for k in manifest.get("tombstones") or []]
     if len(set(tombstones)) != len(tombstones):
         raise FormatError("duplicate tombstones in manifest")
-    missing = [k for k in tombstones if k not in index._sizes]
+    missing = [k for k in tombstones if k not in index._rows]
     if missing:
         raise FormatError(
             "tombstone %r does not name a base-tier key" % (missing[0],))
     if delta_index is not None:
         tombstone_set = set(tombstones)
-        for key in delta_index._sizes:
-            if key in index._sizes and key not in tombstone_set:
+        for key in delta_index._rows:
+            if key in index._rows and key not in tombstone_set:
                 raise FormatError(
                     "delta key %r is still live in the base tier"
                     % (key,))
@@ -830,8 +809,11 @@ def _load_v2(fh, path, header: dict, offset: int, partitioner, kernel,
         seeds = np.frombuffer(seeds_raw, dtype=seed_dtype).astype(np.int64)
         matrix_offset = offset + seeds_nbytes
         if mmap:
+            # A plain ndarray view of the mapping: the same pages, but
+            # row reads and array ops skip np.memmap's subclass hooks.
             matrix = np.memmap(path, dtype="<u8", mode="r",
-                               offset=matrix_offset, shape=(n, num_perm))
+                               offset=matrix_offset,
+                               shape=(n, num_perm)).view(np.ndarray)
         else:
             payload = fh.read(matrix_nbytes)
             matrix = np.frombuffer(payload,

@@ -36,10 +36,10 @@ def build_index(domains=None, **kwargs):
 class TestDeltaTier:
     def test_insert_lands_in_delta_not_base(self):
         domains, index = build_index()
-        base_physical = set(index._sizes)
+        base_physical = set(index._rows)
         new = {"n%d" % j for j in range(25)}
         index.insert("newcomer", sig(new), len(new))
-        assert set(index._sizes) == base_physical      # base immutable
+        assert set(index._rows) == base_physical      # base immutable
         assert "newcomer" in index._delta
         assert "newcomer" in index
         assert len(index) == len(domains) + 1
@@ -146,7 +146,7 @@ class TestTombstones:
         domains, index = build_index()
         key = next(iter(domains))
         index.remove(key)
-        assert key in index._sizes            # physically still present
+        assert key in index._rows             # physically still present
         assert key in index._tombstones
         assert key not in index
         with pytest.raises(KeyError):

@@ -1,5 +1,6 @@
 """Unit tests for signature-based containment estimation."""
 
+import numpy as np
 import pytest
 
 from repro.core.estimation import estimate_containment, rank_candidates
@@ -88,3 +89,91 @@ class TestRankCandidates:
         }
         for _, score in rank_candidates(sig(query), cands, query_size=30):
             assert 0.0 <= score <= 1.0
+
+
+def scalar_rank(query, candidates, query_size=None, sizes=None):
+    """The reference: one estimate_containment per candidate, then the
+    (-score, str(key)) sort."""
+    sizes = sizes or {}
+    scored = [(key, estimate_containment(query, signature, query_size,
+                                         sizes.get(key)))
+              for key, signature in candidates.items()]
+    scored.sort(key=lambda pair: (-pair[1], str(pair[0])))
+    return scored
+
+
+def random_pool(seed, n=120, num_perm=64):
+    """A query and a pool of candidates sharing a random share of its
+    lanes: MinHash and LeanMinHash values, int and str keys, exact
+    duplicates (score ties), missing sizes and sizes far above q."""
+    rng = np.random.default_rng(seed)
+    query = rng.integers(0, 2 ** 32, size=num_perm, dtype=np.uint64)
+    pool, sizes = {}, {}
+    for i in range(n):
+        row = query.copy()
+        redraw = rng.random(num_perm) < rng.random()
+        row[redraw] = rng.integers(0, 2 ** 32, size=int(redraw.sum()),
+                                   dtype=np.uint64)
+        key = i if i % 3 == 0 else "c%d" % i
+        pool[key] = (MinHash(num_perm=num_perm, hashvalues=row) if i % 2
+                     else LeanMinHash(seed=1, hashvalues=row))
+        if i % 5:
+            sizes[key] = int(rng.integers(1, 10 ** int(rng.integers(1, 6))))
+    for twin, of in ((1000, 3), ("c1001", 3), (2, "c4"), (10, "c4")):
+        pool[twin] = pool[of]
+        if of in sizes:
+            sizes[twin] = sizes[of]
+    return LeanMinHash(seed=1, hashvalues=query), pool, sizes
+
+
+class TestRankMatchesScalarReference:
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("query_size", [None, 1, 37, 5000])
+    def test_identical_keys_scores_and_order(self, seed, query_size):
+        query, pool, sizes = random_pool(seed)
+        ranked = rank_candidates(query, pool, query_size, sizes)
+        expected = scalar_rank(query, pool, query_size, sizes)
+        assert ranked == expected
+        assert [repr(score) for _, score in ranked] == \
+            [repr(score) for _, score in expected]
+
+    def test_ties_break_on_key_string(self):
+        query, pool, sizes = random_pool(0)
+        ranked = rank_candidates(query, pool, 40, sizes)
+        scores, names = dict(ranked), [key for key, _ in ranked]
+        # 2 and 10 share "c4"'s row and size: the tie sorts "10" < "2".
+        assert scores[2] == scores[10] == scores["c4"]
+        assert names.index(10) < names.index(2)
+
+    def test_missing_sizes_fall_back_to_count(self):
+        query, pool, _ = random_pool(1)
+        assert rank_candidates(query, pool, 50) == scalar_rank(query, pool,
+                                                                50)
+
+    def test_large_candidates_clip_to_one(self):
+        query, pool, _ = random_pool(2)
+        sizes = {key: 10 ** 9 for key in pool}
+        ranked = rank_candidates(query, pool, 3, sizes)
+        assert ranked == scalar_rank(query, pool, 3, sizes)
+        assert ranked[0][1] == 1.0
+
+    def test_empty_pool(self):
+        query, _, __ = random_pool(3)
+        assert rank_candidates(query, {}, 10) == []
+        assert rank_candidates(query, {}, 0) == []
+
+    @pytest.mark.parametrize("bad", ["seed", "num_perm", "size"])
+    def test_same_errors_as_scalar(self, bad):
+        query, pool, sizes = random_pool(4, n=10)
+        odd = pool["c5"]
+        if bad == "seed":
+            pool["c5"] = LeanMinHash(seed=7, hashvalues=odd.hashvalues)
+        elif bad == "num_perm":
+            pool["c5"] = LeanMinHash(seed=1, hashvalues=odd.hashvalues[:32])
+        else:
+            sizes["c5"] = 0
+        with pytest.raises(ValueError) as want:
+            scalar_rank(query, pool, 20, sizes)
+        with pytest.raises(ValueError) as got:
+            rank_candidates(query, pool, 20, sizes)
+        assert str(got.value) == str(want.value)

@@ -448,7 +448,7 @@ class TestMutatingLoadedIndex:
         assert "d5" not in found
         # The base layout still physically contains d5; only the
         # tombstone filter hides it.
-        assert "d5" in loaded._sizes
+        assert "d5" in loaded._rows
         assert "d5" in loaded._layout.keys.tolist()
 
     def test_mutations_then_materialize_matches_incremental(self, tmp_path):
