@@ -8,10 +8,6 @@ sizes with synthetic signatures (the same sampling trick that makes the
 paper's scale experiments reproducible on one machine — the LSH probe
 path is identical, only upstream value hashing is skipped).
 
-Also reported: the same comparison on a value-overlap corpus (hit-heavy
-candidates, like the accuracy experiments) and the sharded fan-out,
-where the thread pool amortises over the whole batch.
-
 A second, independent floor covers the ingest side of the same regime:
 the MinHash permutation kernel (:func:`repro.minhash.minhash.permuted_minima`)
 against the ``%`` expression it replaced, evaluated in the same process
@@ -40,12 +36,10 @@ from repro.eval.reports import format_table
 from repro.minhash.batch import SignatureBatch
 from repro.minhash.generator import sample_signatures
 from repro.minhash.minhash import MAX_HASH, MERSENNE_PRIME, permuted_minima
-from repro.parallel.sharded import ShardedEnsemble
 
 BATCH_SIZES = (1, 10, 100, 1000)
 THRESHOLD = 0.5
 NUM_PARTITIONS = 16
-NUM_SHARDS = 4
 CORPUS_SEED = 42
 MIN_SPEEDUP_AT_1000 = 3.0
 SKETCH_VALUES = 100_000
@@ -128,25 +122,6 @@ def run_benchmark(num_domains: int | None = None):
             "yes" if equal else "NO",
         ])
 
-    # Sharded topology: fan-out cost paid once per shard for the whole
-    # batch instead of once per query.
-    with ShardedEnsemble(
-            num_shards=NUM_SHARDS,
-            ensemble_factory=lambda: LSHEnsemble(
-                num_perm=NUM_PERM, num_partitions=NUM_PARTITIONS,
-                threshold=THRESHOLD)) as cluster:
-        cluster.index(entries)
-        batch, sizes = _sample_queries(entries, 1000)
-        signatures = list(batch)
-        sharded_equal = (cluster.query_batch(batch, sizes=sizes)
-                         == [cluster.query(s, size=q)
-                             for s, q in zip(signatures, sizes)])
-        t_loop_sh = _best_of(lambda: [cluster.query(s, size=q)
-                                      for s, q in zip(signatures, sizes)])
-        t_batch_sh = _best_of(lambda: cluster.query_batch(batch,
-                                                          sizes=sizes))
-    all_equal = all_equal and sharded_equal
-
     table = format_table(
         ["batch size n", "loop q/s", "batch q/s", "speedup",
          "results equal"],
@@ -157,12 +132,7 @@ def run_benchmark(num_domains: int | None = None):
               % (num_domains, NUM_PERM, NUM_PARTITIONS, THRESHOLD,
                  build_seconds),
     )
-    sharded_note = (
-        "sharded (%d shards, n = 1000): loop %.1f q/s, batch %.1f q/s "
-        "(%.2fx), results equal: %s"
-        % (NUM_SHARDS, 1000 / t_loop_sh, 1000 / t_batch_sh,
-           t_loop_sh / t_batch_sh, "yes" if sharded_equal else "NO"))
-    return table + "\n\n" + sharded_note, speedups, all_equal
+    return table, speedups, all_equal
 
 
 def run_sketching_floor(num_perm: int = NUM_PERM):

@@ -11,15 +11,19 @@ example shows the batch API end to end:
    packing all band bucket keys per partition with one byte-packing
    expression — same results as a loop of ``query`` calls, much less
    per-query Python overhead;
-3. ``ShardedEnsemble.query_batch`` fans the batch out across simulated
-   cluster nodes so each thread-pool task amortises over all queries.
+3. ``RouterIndex.query_batch`` fans the batch out across four shards
+   (here in-process; deployed, each is a ``cli shardnode`` behind
+   ``cli router``) and unions their answers — one fan-out per batch,
+   not per query, and the same answers as the flat index.
 
 Run:  python examples/batch_queries.py
 """
 
 import time
 
-from repro import LSHEnsemble, MinHashGenerator, ShardedEnsemble
+from repro import LSHEnsemble, MinHashGenerator
+from repro.serve.executor import InProcessExecutor
+from repro.serve.router import RouterIndex
 
 # ---------------------------------------------------------------------- #
 # 1. A synthetic corpus: categorical domains with planted containment.
@@ -77,20 +81,23 @@ print("\nexample result for %s: %s"
       % (name, sorted(batch_results[3])))
 
 # ---------------------------------------------------------------------- #
-# 4. The same batch against a simulated cluster, and ranked top-k.
+# 4. The same batch through a router over four shards, and ranked top-k.
 # ---------------------------------------------------------------------- #
 
-with ShardedEnsemble(
-        num_shards=4,
-        ensemble_factory=lambda: LSHEnsemble(threshold=0.7, num_perm=128,
-                                             num_partitions=4)) as cluster:
-    cluster.index(
-        (name, generator.lean(values), len(values))
-        for name, values in CORPUS.items()
-    )
-    sharded_results = cluster.query_batch(batch, sizes=sizes)
-    print("\nsharded batch: %d result sets (first: %s)"
-          % (len(sharded_results), sorted(sharded_results[0])))
+names = list(CORPUS)
+shards = {}
+for i in range(4):
+    shard = LSHEnsemble(threshold=0.7, num_perm=128, num_partitions=8)
+    # Shards built with the flat index's partition bounds tune exactly
+    # like it, so the router's union equals the flat answer.
+    shard.index(((name, generator.lean(CORPUS[name]), len(CORPUS[name]))
+                 for name in names[i::4]), partitions=index.partitions)
+    shards["shard_%d" % i] = InProcessExecutor(shard)
+with RouterIndex.from_executors(shards) as router:
+    routed_results = router.query_batch(batch, sizes=sizes)
+assert routed_results == batch_results
+print("\nrouted batch: %d result sets (first: %s)"
+      % (len(routed_results), sorted(routed_results[0])))
 
 top = index.query_top_k_batch(batch, 3, sizes=sizes)
 print("\ntop-3 by estimated containment for %s:" % batch.keys[0])

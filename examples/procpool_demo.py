@@ -1,14 +1,11 @@
 """Process-parallel queries over a shared mmap snapshot.
 
 Builds a small corpus, saves it as a v2 columnar snapshot, then answers
-the same batch three ways and shows the answers are identical:
+the same batch two ways and shows the answers are identical:
 
 1. in-process (the GIL-bound baseline),
 2. through a :class:`~repro.parallel.procpool.PooledIndex` — worker
-   processes that memory-map the very snapshot file the parent loaded,
-3. through a :class:`~repro.parallel.sharded.ShardedEnsemble` with
-   ``executor="process"`` — the paper's multi-node fan-out on real
-   cores.
+   processes that memory-map the very snapshot file the parent loaded.
 
 It then mutates the live index (insert + remove) and queries again:
 the pending delta entries and tombstones ship to the workers inside
@@ -25,7 +22,6 @@ from repro.core.ensemble import LSHEnsemble
 from repro.minhash.batch import SignatureBatch
 from repro.minhash.generator import sample_signatures
 from repro.parallel.procpool import PooledIndex
-from repro.parallel.sharded import ShardedEnsemble
 from repro.persistence import load_ensemble, save_ensemble
 
 NUM_PERM = 128
@@ -78,21 +74,7 @@ def main() -> None:
         hit = pooled.query(new_sig, size=64, threshold=0.95)
         print("workers see the pending delta entry: %s"
               % ("fresh-domain" in hit))
-
-    # The paper's cluster fan-out, on actual cores.
-    cluster = ShardedEnsemble(
-        num_shards=4, executor="process", num_workers=WORKERS,
-        ensemble_factory=lambda: LSHEnsemble(num_perm=NUM_PERM,
-                                             num_partitions=8,
-                                             threshold=0.5))
-    cluster.index(build_entries())
-    with cluster:
-        sharded_rows = cluster.query_batch(batch, sizes=sizes,
-                                           threshold=0.5)
-        flat_rows = index.query_batch(batch, sizes=sizes, threshold=0.5)
-        print("sharded process fan-out == flat index: %s"
-              % (sharded_rows == flat_rows))
-        print("pool: %s" % cluster._pool.stats())
+        print("pool: %s" % pooled.pool.stats())
 
 
 if __name__ == "__main__":

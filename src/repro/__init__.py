@@ -42,7 +42,7 @@ from repro.minhash import (
     SignatureBatch,
     SignatureFactory,
 )
-from repro.parallel import PooledIndex, ProcPool, ShardedEnsemble
+from repro.parallel import PooledIndex, ProcPool
 from repro.core.partitioner import register_partitioner
 from repro.persistence import (
     FormatError,
@@ -66,7 +66,6 @@ __all__ = [
     "PrefixForest",
     "AsymmetricMinHashLSH",
     "InvertedIndex",
-    "ShardedEnsemble",
     "ProcPool",
     "PooledIndex",
     "Partition",

@@ -8,7 +8,7 @@ classic offenders are closures and capability objects: lambdas, thread
 locks, mmap handles, open files.
 
 The rule inspects dispatch call sites — ``<...pool...>.run(...)``,
-``<...conn/pipe...>.send(...)``, and the ``task_for(...)`` builders —
+``<...conn/pipe...>.send(...)``, and the ``_tasks(...)`` builders —
 and flags any argument whose expression tree (including one level of
 local-variable indirection within the enclosing function) contains a
 lambda, an ``open(...)`` call, or a ``threading``/``multiprocessing``
@@ -47,7 +47,7 @@ def _is_dispatch(func: ast.Attribute) -> bool:
         return True
     if func.attr == "send" and ("conn" in receiver or "pipe" in receiver):
         return True
-    return func.attr in ("task_for", "_tasks") and receiver != ""
+    return func.attr == "_tasks" and receiver != ""
 
 
 class _Visitor(ScopeVisitor):

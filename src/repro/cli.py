@@ -29,11 +29,12 @@ snapshot converts it in place).  ``rebalance`` compacts the write tiers
 into a freshly partitioned base; ``info`` reports tier sizes and the
 drift monitor's metrics alongside the static layout.
 
-``serve`` fronts any saved index — a single-file v2 snapshot, a dynamic
-manifest directory, or a sharded cluster directory — with the asyncio
-HTTP server of :mod:`repro.serve`: concurrent requests are coalesced
-into vectorised batch queries, results are cached under the index's
-mutation epoch, and overload is shed with 503s.
+``serve`` fronts any saved index — a single-file v2 snapshot or a
+dynamic manifest directory — with the asyncio HTTP server of
+:mod:`repro.serve`: concurrent requests are coalesced into vectorised
+batch queries, results are cached under the index's mutation epoch, and
+overload is shed with 503s.  A sharded corpus is served by one
+``shardnode`` per shard behind a ``router``.
 
 ``loadtest`` stands the same server up over the index, replays a
 deterministic open-loop traffic profile against it (zipf-popular reads,
@@ -180,8 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve a saved index over HTTP with request coalescing "
              "and an epoch-keyed result cache")
     p_serve.add_argument("index", type=Path,
-                         help="a v2 snapshot file, a dynamic manifest "
-                              "directory, or a ShardedEnsemble directory")
+                         help="a v2 snapshot file or a dynamic manifest "
+                              "directory")
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument("--port", type=int, default=8080,
                          help="TCP port (0 picks a free one and prints it)")
@@ -304,8 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
              "against a served index and report SLO metrics "
              "(p50/p95/p99, throughput, shed rate, cache hit rate)")
     p_load.add_argument("index", type=Path,
-                        help="a v2 snapshot file, a dynamic manifest "
-                             "directory, or a ShardedEnsemble directory")
+                        help="a v2 snapshot file or a dynamic manifest "
+                             "directory")
     p_load.add_argument("--profile", default="read-heavy",
                         choices=("read-heavy", "mixed"),
                         help="read-heavy: pure zipf reads over an RPS "
@@ -549,54 +550,18 @@ def _cmd_rebalance(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_serving_index(path: Path, mmap: bool, executor: str = "thread",
-                        workers: int | None = None,
-                        start_method: str | None = None,
-                        kernel: str | None = None):
-    """Load any saved index for serving: flat file, dynamic manifest
-    directory, or ShardedEnsemble cluster directory.
-
-    A sharded cluster adopts the requested executor itself (its fan-out
-    owns the worker pool); flat indexes are wrapped at the serving
-    layer instead.
-    """
-    if path.is_dir():
-        manifest_path = path / "manifest.json"
-        try:
-            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        except FileNotFoundError:
-            raise SystemExit(
-                "error: %s is not a saved index (no manifest.json)" % path)
-        except json.JSONDecodeError as exc:
-            raise SystemExit("error: corrupt manifest in %s: %s"
-                             % (path, exc))
-        if isinstance(manifest, dict) and "shards" in manifest:
-            from repro.parallel.sharded import ShardedEnsemble
-
-            return ShardedEnsemble.load(path, mmap=mmap,
-                                        executor=executor,
-                                        num_workers=workers,
-                                        start_method=start_method,
-                                        kernel=kernel)
-    return load_ensemble(path, kernel=kernel, mmap=mmap)
-
-
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
     from repro.serve import QueryServer
 
-    index = _load_serving_index(args.index, mmap=not args.no_mmap,
-                                executor=args.executor,
-                                workers=args.workers,
-                                start_method=args.start_method,
-                                kernel=args.kernel)
-    sharded = hasattr(index, "shards")
+    index = load_ensemble(args.index, kernel=args.kernel,
+                          mmap=not args.no_mmap)
     server = QueryServer(
         index, host=args.host, port=args.port,
         max_batch=args.max_batch, window_ms=args.window_ms,
         cache_size=args.cache_size, max_pending=args.max_pending,
-        executor="thread" if sharded else args.executor,
+        executor=args.executor,
         workers=args.workers, start_method=args.start_method,
         mmap=not args.no_mmap)
 
@@ -640,17 +605,13 @@ def _cmd_shardnode(args: argparse.Namespace) -> int:
             client.close()
         print("bootstrapped snapshot from %s -> %s"
               % (args.bootstrap_from, index_path), flush=True)
-    index = _load_serving_index(Path(index_path), mmap=not args.no_mmap,
-                                executor=args.executor,
-                                workers=args.workers,
-                                start_method=args.start_method,
-                                kernel=args.kernel)
-    sharded = hasattr(index, "shards")
+    index = load_ensemble(index_path, kernel=args.kernel,
+                          mmap=not args.no_mmap)
     server = QueryServer(
         index, host=args.host, port=args.port,
         max_batch=args.max_batch, window_ms=args.window_ms,
         cache_size=args.cache_size, max_pending=args.max_pending,
-        executor="thread" if sharded else args.executor,
+        executor=args.executor,
         workers=args.workers, start_method=args.start_method,
         mmap=not args.no_mmap, shard_label=args.shard)
 
@@ -815,24 +776,17 @@ def _cmd_loadtest(args: argparse.Namespace) -> int:
         profile = mixed_mutating(rps=args.rps, seconds=args.seconds,
                                  mutation_rps=args.mutation_rps,
                                  seed=args.seed)
-    index = _load_serving_index(args.index, mmap=not args.no_mmap,
-                                executor=args.executor,
-                                workers=args.workers,
-                                start_method=args.start_method,
-                                kernel=args.kernel)
+    index = load_ensemble(args.index, kernel=args.kernel,
+                          mmap=not args.no_mmap)
     print("loadtest %s: profile %s, %.0f peak rps over %.1fs, seed %d"
           % (args.index, profile.name, args.rps, args.seconds,
              args.seed), flush=True)
-    try:
-        report = run_against_index(
-            index, profile, executor=args.executor,
-            workers=args.workers, start_method=args.start_method,
-            max_batch=args.max_batch, window_ms=args.window_ms,
-            cache_size=args.cache_size, max_pending=args.max_pending,
-            concurrency=args.concurrency, mmap=not args.no_mmap)
-    finally:
-        if hasattr(index, "close"):
-            index.close()
+    report = run_against_index(
+        index, profile, executor=args.executor,
+        workers=args.workers, start_method=args.start_method,
+        max_batch=args.max_batch, window_ms=args.window_ms,
+        cache_size=args.cache_size, max_pending=args.max_pending,
+        concurrency=args.concurrency, mmap=not args.no_mmap)
     print(format_report(report))
     if args.json_out is not None:
         args.json_out.write_text(

@@ -42,9 +42,9 @@ entry point of :class:`~repro.core.ensemble.LSHEnsemble` holds the
 ensemble's own reentrant lock for its whole duration — base-tier probe
 included — so one index answers one query at a time, and mutations and
 ``rebalance`` are safe to run concurrently with queries without
-external coordination.  Each shard of a
-:class:`~repro.parallel.sharded.ShardedEnsemble` owns its own index,
-lock and tier, so shards still probe in parallel.
+external coordination.  Each shard node behind a
+:class:`~repro.serve.router.RouterIndex` owns its own index, lock and
+tier, so shards still probe in parallel.
 """
 
 from __future__ import annotations

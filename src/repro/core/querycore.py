@@ -3,7 +3,7 @@
 The paper has exactly one search procedure — Algorithm 1,
 Partitioned-Containment-Search — with top-k named as complementary to
 it (Section 2) and the multi-node deployment being a union over nodes
-(Section 6.3).  Every index-shaped class in this repo (flat, sharded,
+(Section 6.3).  Every index-shaped class in this repo (flat,
 process-pooled, shard executor, router) therefore supplies just two
 hooks to :class:`QuerySurface`:
 

@@ -17,7 +17,7 @@ Selection precedence (first match wins):
 
 1. an explicit ``kernel=`` argument (a name or a :class:`Kernel`
    instance) on ``MinHashLSH`` / ``PrefixForest`` / ``LSHEnsemble`` /
-   ``ShardedEnsemble.load`` / ``load_ensemble`` / the CLI ``--kernel``;
+   ``load_ensemble`` / the CLI ``--kernel``;
 2. the ``REPRO_KERNEL`` environment variable;
 3. the kernel name recorded in a snapshot header being loaded (this is
    how :class:`~repro.parallel.procpool.ProcPool` workers adopt the

@@ -40,14 +40,9 @@ __all__ = ["run_load", "run_against_index", "build_query_pool"]
 _POOL_STREAM = 5  # rng stream for query-pool sampling
 
 
-def _flat_indexes(index) -> list:
-    return list(index.shards) if hasattr(index, "shards") else [index]
-
-
 def _signature_seed(index) -> int:
-    for shard in _flat_indexes(index):
-        for key in shard.keys():
-            return int(shard.get_signature(key).seed)
+    for key in index.keys():
+        return int(index.get_signature(key).seed)
     return 1
 
 
@@ -59,22 +54,18 @@ def build_query_pool(index, profile: TrafficProfile,
     the index's own signatures, so a schedule's zipf rank always maps
     to the same request body for the same index + seed.
     """
-    pairs = []
-    for shard in _flat_indexes(index):
-        for key in shard.keys():
-            pairs.append((str(key), key, shard))
-    if not pairs:
+    keys = sorted(index.keys(), key=str)
+    if not keys:
         raise ValueError("cannot load-test an empty index")
-    pairs.sort(key=lambda item: item[0])
     rng = np.random.default_rng([profile.seed, _POOL_STREAM])
-    picks = rng.choice(len(pairs), size=profile.query_pool, replace=True)
+    picks = rng.choice(len(keys), size=profile.query_pool, replace=True)
     bodies = []
     for i in picks:
-        _, key, shard = pairs[int(i)]
-        signature = shard.get_signature(key)
+        key = keys[int(i)]
+        signature = index.get_signature(key)
         query = {"signature": [int(v) for v in signature.hashvalues],
                  "seed": int(signature.seed),
-                 "size": int(shard.size_of(key))}
+                 "size": int(index.size_of(key))}
         bodies.append((
             json.dumps({"queries": [query],
                         "threshold": profile.threshold}),
@@ -91,7 +82,7 @@ class _Mutator:
                  prefix: str) -> None:
         self._index = index
         self._factory = SignatureFactory(
-            num_perm=_flat_indexes(index)[0].num_perm,
+            num_perm=index.num_perm,
             seed=_signature_seed(index))
         self._prefix = prefix
         self._inserted: deque = deque()
@@ -297,18 +288,16 @@ def run_against_index(index, profile: TrafficProfile, *,
                       mmap: bool = True) -> dict:
     """Stand a server up over ``index``, run ``profile``, tear down.
 
-    The convenience entry behind the CLI ``loadtest`` subcommand.  A
-    sharded cluster must already carry its own executor (see
-    :class:`~repro.serve.server.QueryServer`); flat indexes are wrapped
-    per ``executor`` here.
+    The convenience entry behind the CLI ``loadtest`` subcommand; the
+    index is wrapped per ``executor`` (see
+    :class:`~repro.serve.server.QueryServer`).
     """
     from repro.serve import start_in_thread
 
-    sharded = hasattr(index, "shards")
     with start_in_thread(
             index, max_batch=max_batch, window_ms=window_ms,
             cache_size=cache_size, max_pending=max_pending,
-            executor="thread" if sharded else executor,
+            executor=executor,
             workers=workers, start_method=start_method,
             mmap=mmap) as handle:
         return run_load(

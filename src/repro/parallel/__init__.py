@@ -1,4 +1,4 @@
-"""Distributed deployment, simulated: sharding and parallel query fan-out."""
+"""Process-parallel query execution over shared mmap segments."""
 
 from repro.parallel.procpool import (
     PooledIndex,
@@ -6,7 +6,6 @@ from repro.parallel.procpool import (
     RemoteTaskError,
     WorkerCrashError,
 )
-from repro.parallel.sharded import ShardedEnsemble
 
 __all__ = ["PooledIndex", "ProcPool", "RemoteTaskError",
-           "ShardedEnsemble", "WorkerCrashError"]
+           "WorkerCrashError"]

@@ -1,14 +1,13 @@
 """Process-parallel query execution over shared mmap segments.
 
-Every hot path in this codebase — flat ``query_batch``, the
-:class:`~repro.parallel.sharded.ShardedEnsemble` fan-out, the serve
-coalescer's worker thread — executes Python under one GIL, so CPU-bound
-band hashing and bucket probing serialise no matter how many cores the
-box has.  The distributed-LSH literature (Bahmani et al.; the
-scalable-LSH multimedia systems) gets near-linear speedup by letting
-independent workers probe shards over *shared read-only storage*; the
-v2 zero-copy columnar snapshot format is exactly that substrate in this
-repo.  This module supplies the worker side of the bargain:
+Every in-process hot path in this codebase — flat ``query_batch``,
+the serve coalescer's worker thread — executes Python under one GIL,
+so CPU-bound band hashing and bucket probing serialise no matter how
+many cores the box has.  The distributed-LSH literature (Bahmani et
+al.; the scalable-LSH multimedia systems) gets near-linear speedup by
+letting independent workers probe shards over *shared read-only
+storage*; the v2 zero-copy columnar snapshot format is exactly that
+substrate in this repo.  This module supplies the worker side of the bargain:
 
 * :class:`ProcPool` — a small crash-tolerant pool of worker
   *processes*.  Each worker opens the same v2 snapshot segments through
@@ -76,8 +75,8 @@ __all__ = ["ProcPool", "PooledIndex", "RemoteTaskError",
 START_METHOD_ENV = "REPRO_PROCPOOL_START_METHOD"
 
 # Worker-side bound on cached open segments: a pool shared by many
-# PooledIndex sources (e.g. a sharded cluster plus test fixtures) must
-# not accumulate unbounded per-source bucket arrays.
+# PooledIndex sources must not accumulate unbounded per-source bucket
+# arrays.
 _SOURCE_CACHE_SIZE = 8
 
 _WORKER_CRASH_EXIT = 17  # fault-injection exit code (tests)
@@ -558,9 +557,9 @@ class PooledIndex(QuerySurface):
         registry-resolvable — workers re-open the spilled segment
         through :func:`repro.persistence.load_ensemble`.
     pool:
-        Share an existing pool (a sharded cluster runs all shards on
-        one pool); when omitted a private pool is created (and closed
-        by :meth:`close`).
+        Share an existing pool (several indexes can run on one pool);
+        when omitted a private pool is created (and closed by
+        :meth:`close`).
     source_path:
         A v2 snapshot / base segment already on disk whose physical
         base equals ``index``'s (e.g. the file the index was just
@@ -686,10 +685,6 @@ class PooledIndex(QuerySurface):
                       "token": self._token, "mmap": self._mmap}
         return [{"source": source, "overlay": overlay, "method": method,
                  "args": args} for args in per_task_args]
-
-    def task_for(self, method: str, args: dict) -> dict:
-        """A single raw pool task (used by the sharded fan-out)."""
-        return self._tasks(method, [args])[0]
 
     def _row_slices(self, n: int) -> list[tuple[int, int]]:
         k = min(self._slices or self.pool.num_workers, n)

@@ -446,7 +446,7 @@ def _save_manifest(index: LSHEnsemble, root: Path) -> None:
     if any(root.iterdir()):
         # Never adopt (and then clean segments out of) a non-empty
         # directory that is not already a dynamic manifest — it could
-        # be a ShardedEnsemble snapshot or unrelated data.
+        # be a retired sharded-cluster directory or unrelated data.
         _read_manifest(root)
     _write_manifest_tree(index, root, _scan_save_generation(root))
 
@@ -552,15 +552,15 @@ def _read_manifest(root: Path) -> dict:
         manifest = json.loads(
             (root / _MANIFEST_NAME).read_text(encoding="utf-8"))
     except FileNotFoundError:
-        raise FormatError(
-            "%s is not a saved LSH Ensemble (no %s)"
-            % (root, _MANIFEST_NAME)) from None
+        raise FormatError("not a saved LSH Ensemble (no %s)"
+                          % _MANIFEST_NAME) from None
     except json.JSONDecodeError as exc:
         raise FormatError("corrupt manifest: %s" % exc) from exc
     if isinstance(manifest, dict) and "shards" in manifest:
         raise FormatError(
-            "%s holds a saved ShardedEnsemble; load it with "
-            "repro.parallel.ShardedEnsemble.load" % root)
+            "a sharded-cluster directory, a format that was retired; "
+            "each shard-*.lshe inside is a loadable index that "
+            "`cli shardnode` can serve behind `cli router`")
     if (not isinstance(manifest, dict)
             or manifest.get("format") != _MANIFEST_FORMAT):
         raise FormatError(
@@ -845,11 +845,9 @@ def pack_snapshot_bytes(index) -> bytes:
     """Pack an index's full on-disk state into one byte string.
 
     This is the payload of the shard-node ``GET /snapshot`` endpoint:
-    the index is saved through its normal persistence path (single-file
-    v2, dynamic manifest directory, or a sharded cluster directory —
-    whichever :func:`save_ensemble` / ``ShardedEnsemble.save`` would
-    produce) into a scratch directory, and the resulting file set is
-    archived as::
+    the index is saved through :func:`save_ensemble` (single-file v2 or
+    dynamic manifest directory, whichever it would produce) into a
+    scratch directory, and the resulting file set is archived as::
 
         b"LSHESNAP" + u32 manifest_len + manifest_json + file bytes...
 
@@ -861,10 +859,7 @@ def pack_snapshot_bytes(index) -> bytes:
     """
     with tempfile.TemporaryDirectory(prefix="lshe-snapshot-") as tmp:
         root = Path(tmp) / "index"
-        if hasattr(index, "shards") and hasattr(index, "save"):
-            index.save(root)          # sharded cluster directory
-        else:
-            save_ensemble(index, root)  # v2 file or manifest dir
+        save_ensemble(index, root)
         if root.is_dir():
             kind = "dir"
             paths = sorted(p for p in root.rglob("*") if p.is_file())
@@ -890,10 +885,10 @@ def pack_snapshot_bytes(index) -> bytes:
 def unpack_snapshot(data: bytes, dest: str | Path) -> Path:
     """Restore a :func:`pack_snapshot_bytes` archive under ``dest``.
 
-    Returns the path to load the index from: ``dest/index.lshe`` for a
-    single-file snapshot, ``dest/index`` (a directory) otherwise —
-    feed it to :func:`load_ensemble` / ``ShardedEnsemble.load`` (the
-    CLI's serving loader auto-detects which).
+    Returns the path to feed :func:`load_ensemble`: ``dest/index.lshe``
+    for a single-file snapshot, ``dest/index`` (a directory) otherwise.
+    The archive arrives from a peer, so it is validated whole before
+    anything is written; a malformed one raises :class:`FormatError`.
     """
     head = len(_SNAPSHOT_MAGIC)
     if data[:head] != _SNAPSHOT_MAGIC:
@@ -904,8 +899,10 @@ def unpack_snapshot(data: bytes, dest: str | Path) -> Path:
     offset = head + _U32.size
     try:
         manifest = json.loads(data[offset:offset + manifest_len])
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise FormatError("corrupt snapshot manifest: %s" % exc) from exc
+    if not isinstance(manifest, dict):
+        raise FormatError("corrupt snapshot manifest")
     offset += manifest_len
     if manifest.get("version") != _SNAPSHOT_VERSION:
         raise FormatError("unsupported snapshot version %r"
@@ -913,14 +910,11 @@ def unpack_snapshot(data: bytes, dest: str | Path) -> Path:
     kind = manifest.get("kind")
     files = manifest.get("files")
     if kind not in ("file", "dir") or not isinstance(files, list) \
-            or not files:
+            or not files or (kind == "file" and len(files) != 1):
         raise FormatError("corrupt snapshot manifest")
     dest = Path(dest)
     root = dest / ("index.lshe" if kind == "file" else "index")
-    if kind == "dir":
-        root.mkdir(parents=True, exist_ok=True)
-    else:
-        dest.mkdir(parents=True, exist_ok=True)
+    blobs = []
     for entry in files:
         if (not isinstance(entry, list) or len(entry) != 2
                 or not isinstance(entry[0], str)
@@ -929,17 +923,24 @@ def unpack_snapshot(data: bytes, dest: str | Path) -> Path:
         rel, size = entry
         parts = Path(rel).parts
         # The manifest names untrusted relative paths; never let one
-        # escape the destination directory.
-        if Path(rel).is_absolute() or ".." in parts:
+        # escape (or name) the destination directory.
+        if Path(rel).is_absolute() or ".." in parts or not parts:
             raise FormatError("snapshot path %r escapes the "
                               "destination" % rel)
-        blob = data[offset:offset + size]
+        blob = memoryview(data)[offset:offset + size]
         if len(blob) != size:
             raise FormatError("truncated snapshot payload at %r" % rel)
         offset += size
-        target = root if kind == "file" else root / rel
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_bytes(blob)
+        blobs.append((root if kind == "file" else root / rel, blob))
     if offset != len(data):
         raise FormatError("trailing bytes after snapshot payload")
+    # Each path names one file: none repeats (the last blob would
+    # silently win) and none is a directory of another.
+    paths = {Path(rel).parts for rel, _ in files}
+    parents = {parts[:i] for parts in paths for i in range(1, len(parts))}
+    if len(paths) != len(files) or paths & parents:
+        raise FormatError("corrupt snapshot file table")
+    for target, blob in blobs:
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_bytes(blob)
     return root

@@ -1,8 +1,8 @@
 """Async serving layer: HTTP front end with coalescing and caching.
 
 The paper's system answers domain-search traffic for many users at
-once; this package is the layer that exposes a built index (flat,
-sharded, or loaded from a snapshot) over HTTP with the three serving
+once; this package is the layer that exposes a built index (built in
+process or loaded from a snapshot) over HTTP with the three serving
 optimisations that matter at that scale: micro-batching of concurrent
 requests into the vectorised ``query_batch`` path, a result cache keyed
 by the index's mutation epoch, and admission control that sheds load

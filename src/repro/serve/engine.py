@@ -1,11 +1,10 @@
 """Uniform serving facade over every shard executor.
 
 The HTTP layer should not care whether it fronts a single
-:class:`~repro.core.ensemble.LSHEnsemble`, a whole
-:class:`~repro.parallel.sharded.ShardedEnsemble`, a process pool or a
-router over remote shard nodes: :class:`ServingEngine` turns coalesced
-batches into one vectorised ``query_batch`` / ``query_top_k_batch``
-call on its :class:`~repro.serve.executor.ShardExecutor` and
+:class:`~repro.core.ensemble.LSHEnsemble`, a process pool or a router
+over shard nodes: :class:`ServingEngine` turns coalesced batches into
+one vectorised ``query_batch`` / ``query_top_k_batch`` call on its
+:class:`~repro.serve.executor.ShardExecutor` and
 canonicalises results into JSON-serialisable, deterministically ordered
 form — the exact same ordering for the same inputs regardless of
 topology, which is what the served-parity golden tests pin.
@@ -40,8 +39,7 @@ class ServingEngine:
     Parameters
     ----------
     index:
-        A built :class:`~repro.core.ensemble.LSHEnsemble` or
-        :class:`~repro.parallel.sharded.ShardedEnsemble` (served
+        A built :class:`~repro.core.ensemble.LSHEnsemble` (served
         in-process), or any :class:`~repro.serve.executor.ShardExecutor`
         — a process pool, a router — to dispatch through instead.
     """

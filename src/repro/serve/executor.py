@@ -17,9 +17,8 @@ reflects.  What a backend supplies:
 ``query_batch``, ``query``, ``query_top_k`` and ``signatures_for`` are
 derived.  Implementations:
 
-* :class:`InProcessExecutor` — the built index object itself (flat
-  :class:`~repro.core.ensemble.LSHEnsemble` or a whole
-  :class:`~repro.parallel.sharded.ShardedEnsemble`).
+* :class:`InProcessExecutor` — the built
+  :class:`~repro.core.ensemble.LSHEnsemble` itself.
 * :class:`ProcPoolExecutor` — a
   :class:`~repro.parallel.procpool.PooledIndex`: batches row-sliced
   across worker processes over shared mmap segments.  Both forward
@@ -177,8 +176,8 @@ class ShardExecutor(QuerySurface, abc.ABC):
 
 class _IndexBackedExecutor(ShardExecutor):
     """Executors whose queries land on an in-process index object
-    (directly or through a worker pool).  This is where the topology
-    is known, so the ``/healthz`` / ``/stats`` facts are assembled
+    (directly or through a worker pool).  That index is in this
+    process, so the ``/healthz`` / ``/stats`` facts are assembled
     here."""
 
     def __init__(self, target, index) -> None:
@@ -237,48 +236,30 @@ class _IndexBackedExecutor(ShardExecutor):
     def generation(self) -> int:
         return int(self._index.generation)
 
-    @property
-    def kind(self) -> str:
-        """``"process"`` when batches run on a worker pool (here: a
-        process-mode sharded cluster), else ``"thread"``."""
-        return ("process"
-                if getattr(self._index, "executor", None) == "process"
-                else "thread")
-
-    def _pool(self):
-        return getattr(self._index, "_pool", None)
-
-    def _flat(self):
-        """A flat ensemble carrying the build facts every shard shares
-        (``num_perm``, kernel, b-bit width, signature seed): the index
-        itself, or a sharded cluster's first shard."""
-        index = self._index
-        return index.shards[0] if hasattr(index, "shards") else index
-
     def describe(self) -> dict:
-        index, flat = self._index, self._flat()
+        index = self._index
         # Server-side hashing of ``values`` payloads must use the seed
         # the index was built with; sample it from any stored signature
         # (one shared seed per index is the supported regime).
-        seed = next((int(flat.get_signature(key).seed)
-                     for key in flat.keys()), 1)
+        seed = next((int(index.get_signature(key).seed)
+                     for key in index.keys()), 1)
         return {
             "status": "ok",
             "index": type(index).__name__,
             "keys": len(index),
-            "num_perm": int(flat.num_perm),
+            "num_perm": int(index.num_perm),
             "generation": self.generation,
             "mutation_epoch": self.mutation_epoch,
             "executor": self.kind,
-            "kernel": flat.kernel.name,
-            "bbit": flat.bbit,
+            "kernel": index.kernel.name,
+            "bbit": index.bbit,
             "signature_seed": seed,
         }
 
     def stats(self) -> dict:
-        """Tier sizes and the full drift report (plus pool counters)."""
+        """Tier sizes and the full drift report."""
         drift = self._index.drift_stats()
-        payload = {
+        return {
             "tiers": {
                 "base": drift["base_keys"],
                 "delta": drift["delta_keys"],
@@ -286,10 +267,6 @@ class _IndexBackedExecutor(ShardExecutor):
             },
             "drift": drift,
         }
-        pool = self._pool()
-        if pool is not None:
-            payload["pool"] = pool.stats()
-        return payload
 
     def snapshot_bytes(self) -> bytes | None:
         from repro.persistence import pack_snapshot_bytes
@@ -315,8 +292,9 @@ class ProcPoolExecutor(_IndexBackedExecutor):
     def __init__(self, pooled) -> None:
         super().__init__(pooled, pooled.index)
 
-    def _pool(self):
-        return self._target.pool
+    def stats(self) -> dict:
+        """The in-process index's stats plus the pool counters."""
+        return {**super().stats(), "pool": self._target.pool.stats()}
 
     def close(self) -> None:
         self._target.close()

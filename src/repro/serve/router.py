@@ -11,8 +11,8 @@ swapping maps (:meth:`RouterIndex.set_placement`) is how rebalance and
 decommission happen — in-flight requests drain on the old replica
 clients, new requests see the new topology, nothing is dropped.
 
-Query semantics (mirroring :class:`~repro.parallel.sharded
-.ShardedEnsemble`, which is what the parity battery compares against):
+Query semantics (those of one flat index holding every shard's data,
+which is what the parity battery compares against):
 
 * ``query_batch`` (``query`` is a one-row batch) — one fan-out round,
   per-row union over shards.  Each shard answers at a single epoch (the
@@ -61,9 +61,10 @@ Replicas a write missed (crashed mid-write, below quorum) are
 reconciled by :meth:`RouterIndex.repair`: an epoch/key-count compare
 across each shard's replicas, then delta shipping (snapshot diff →
 ``/remove`` + ``/insert``) from the freshest replica to the drifted
-ones.  Removals route owner-first, then broadcast-locate: corpora
-indexed before hash routing existed may hold keys off their owning
-shard.
+ones.  Corpora indexed before hash routing existed may hold keys off
+their owning shard, so an insert first looks its keys up on the other
+shards (a held key is a duplicate), and a removal routes owner-first,
+then broadcast-locates.
 """
 
 from __future__ import annotations
@@ -534,14 +535,18 @@ class RouterIndex(ShardExecutor):
         """Route ``(key, signature, size)`` inserts to their owning
         shards, each write fanning to all replicas under the configured
         quorum.  Returns per-entry applied flags (``False`` = already
-        present, the idempotent ack) and the highest post-write epoch —
+        present on some shard, the idempotent ack) and the highest post-write epoch —
         the consistency token the caller hands back to its client.
         """
         entries = [(key, as_lean(signature), int(size))
                    for key, signature, size in entries]
+        owners = [self.owning_shard(key) for key, _, _ in entries]
+        held = self._held_off_owner(
+            [key for key, _, _ in entries], owners)
         groups: dict[str, list[int]] = {}
         for j, (key, _, _) in enumerate(entries):
-            groups.setdefault(self.owning_shard(key), []).append(j)
+            if key not in held:
+                groups.setdefault(owners[j], []).append(j)
         applied = [False] * len(entries)
         epochs: list[int] = []
         for shard, rows in sorted(groups.items()):
@@ -556,7 +561,24 @@ class RouterIndex(ShardExecutor):
                     self._keys[shard] = self._keys.get(shard, 0) + fresh
         with self._lock:
             self._counters["writes"] += 1
-        return applied, max(epochs)
+        return applied, max(epochs, default=self.mutation_epoch)
+
+    def _held_off_owner(self, keys: list, owners: list[str]) -> set:
+        """The ``keys`` some shard other than their owner already holds
+        (corpora split before hash routing existed hold keys off their
+        owner), looked up on every such shard in parallel."""
+        futures = []
+        for shard, executor in self._executors.items():
+            asked = [key for key, owner in zip(keys, owners)
+                     if owner != shard]
+            if asked:
+                futures.append(self._fanout_pool.submit(
+                    executor.signatures_for, asked))
+        held: set = set()
+        for future in futures:
+            signatures, _ = future.result()
+            held.update(signatures)
+        return held
 
     def insert(self, key, signature, size: int) -> int:
         """Single-key insert mirroring the flat index surface (raises

@@ -142,8 +142,7 @@ class QueryServer:
     Parameters
     ----------
     index:
-        A built flat :class:`~repro.core.ensemble.LSHEnsemble` or
-        :class:`~repro.parallel.sharded.ShardedEnsemble` — or any
+        A built :class:`~repro.core.ensemble.LSHEnsemble` — or any
         :class:`~repro.serve.executor.ShardExecutor` to serve through
         as-is (it stays caller-owned: the server never closes it).
     host, port:
@@ -163,10 +162,7 @@ class QueryServer:
         coalescer's single worker thread.  ``"process"`` dispatches
         them through a :class:`~repro.parallel.procpool.PooledIndex` —
         sliced across worker processes that ``np.memmap`` the spilled
-        v2 segment — so serving scales past one core.  For a
-        :class:`~repro.parallel.sharded.ShardedEnsemble` load the
-        cluster itself with ``executor="process"`` instead (its own
-        fan-out already runs on a pool).
+        v2 segment — so serving scales past one core.
     workers, start_method:
         Process-pool sizing / multiprocessing start method
         (``executor="process"`` only).
@@ -197,19 +193,12 @@ class QueryServer:
         # closes — is the worker pool around a flat index.
         self._pool_executor: ProcPoolExecutor | None = None
         if executor == "process":
-            if hasattr(index, "shards"):
-                if getattr(index, "executor", "thread") != "process":
-                    raise ValueError(
-                        "load the sharded cluster with "
-                        "executor='process' instead of wrapping it "
-                        "at the serving layer")
-            else:
-                from repro.parallel.procpool import PooledIndex
+            from repro.parallel.procpool import PooledIndex
 
-                self._pool_executor = ProcPoolExecutor(PooledIndex(
-                    index, num_workers=workers,
-                    start_method=start_method, source_path=source_path,
-                    mmap=mmap))
+            self._pool_executor = ProcPoolExecutor(PooledIndex(
+                index, num_workers=workers,
+                start_method=start_method, source_path=source_path,
+                mmap=mmap))
         self.engine = ServingEngine(self._pool_executor or index)
         self.shard_label = shard_label
         self.cache = ResultCache(cache_size)

@@ -10,4 +10,4 @@ def dispatch_path(conn, path):
 
 
 def build_task(shard, args):
-    return shard.task_for("query", args)
+    return shard._tasks("query", [args])

@@ -1,9 +1,9 @@
 """Mutation-epoch semantics: bumps, reporting, and persistence.
 
 ``generation`` only moves on rebalance; the epoch must move on *every*
-logical mutation and survive save/load round trips (single-file v2,
+logical mutation and survive save/load round trips (single-file v2 and
 dynamic manifest — where the always-rewritten manifest is authoritative
-over a reused base segment — and sharded cluster manifests).
+over a reused base segment).
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import pytest
 
 from repro.core.ensemble import LSHEnsemble
 from repro.minhash.generator import sample_signatures
-from repro.parallel.sharded import ShardedEnsemble
 from repro.persistence import load_ensemble, read_header, save_ensemble
 
 NUM_PERM = 64
@@ -121,64 +120,65 @@ class TestEpochPersistence:
         assert base_header["mutation_epoch"] < 3  # stale copy, ignored
 
 
-class TestShardedEpoch:
-    def _cluster(self, parallel: bool = True):
-        cluster = ShardedEnsemble(
-            num_shards=3, parallel=parallel,
-            ensemble_factory=lambda: LSHEnsemble(
-                num_perm=NUM_PERM, num_partitions=4, threshold=0.5))
-        cluster.index(_entries(60))
-        return cluster
+class TestRouterEpoch:
+    """A router's epoch is the floor of its shards' independent
+    counters; a write bumps only the shard that applies it."""
 
-    def test_cluster_mutations_bump_once(self):
-        with self._cluster() as cluster:
-            (key, sig, size), = _entries(1, offset=100)
-            cluster.insert(key, sig, size)
-            assert cluster.mutation_epoch == 1
-            cluster.remove(key)
-            assert cluster.mutation_epoch == 2
-            cluster.rebalance()
-            assert cluster.mutation_epoch == 3
-            assert cluster.drift_stats()["mutation_epoch"] == 3
+    @pytest.fixture()
+    def router(self, in_process_cluster):
+        router, _ = in_process_cluster(
+            _entries(60), 3,
+            lambda: LSHEnsemble(num_perm=NUM_PERM, num_partitions=4,
+                                threshold=0.5))
+        with router:
+            yield router
 
-    def test_epoch_monotone_across_decommission(self):
-        """Shard removal must not shrink the cluster epoch (a per-shard
-        sum would)."""
-        with self._cluster() as cluster:
-            victim_keys = list(cluster.shards[-1].keys())
-            for key in victim_keys:
-                cluster.remove(key)
-            before = cluster.mutation_epoch
-            cluster.rebalance()
-            assert cluster.active_shards == 2
-            assert cluster.mutation_epoch == before + 1
+    @staticmethod
+    def _epochs(router) -> dict:
+        return {name: executor.mutation_epoch
+                for name, executor in router.executors().items()}
 
-    def test_cluster_save_load_round_trip(self, tmp_path):
-        with self._cluster() as cluster:
-            (key, sig, size), = _entries(1, offset=100)
-            cluster.insert(key, sig, size)
-            cluster.remove("k5")
-            directory = tmp_path / "cluster"
-            cluster.save(directory)
-            epoch = cluster.mutation_epoch
-        loaded = ShardedEnsemble.load(directory)
-        with loaded:
-            assert loaded.mutation_epoch == epoch == 2
+    def test_write_bumps_the_owning_shard_once(self, router):
+        (key, sig, size), = _entries(1, offset=100)
+        owner = router.owning_shard(key)
+        assert router.insert(key, sig, size) == 1
+        assert self._epochs(router) == {
+            name: int(name == owner) for name in router.shard_names}
+        assert router.mutation_epoch == 0
+        router.remove(key)
+        assert self._epochs(router)[owner] == 2
+        assert router.mutation_epoch == 0
 
-    def test_legacy_cluster_manifest_falls_back_to_shard_sum(self,
-                                                             tmp_path):
-        import json
+    def test_epoch_is_a_monotone_floor(self, router):
+        last = router.mutation_epoch
+        for key, sig, size in _entries(12, offset=100):
+            router.insert(key, sig, size)
+            epoch = router.mutation_epoch
+            assert epoch == min(self._epochs(router).values())
+            assert epoch >= last
+            last = epoch
+        assert sum(self._epochs(router).values()) == 12
+        assert last >= 1  # twelve hashed keys reach every shard
 
-        with self._cluster() as cluster:
-            (key, sig, size), = _entries(1, offset=100)
-            cluster.insert(key, sig, size)
-            directory = tmp_path / "cluster"
-            cluster.save(directory)
-        manifest_path = directory / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        del manifest["mutation_epoch"]
-        manifest_path.write_text(json.dumps(manifest))
-        loaded = ShardedEnsemble.load(directory)
-        with loaded:
-            # The inserting shard persisted epoch 1; the others 0.
-            assert loaded.mutation_epoch == 1
+    def test_off_owner_remove_bumps_only_the_holder(self, router):
+        executors = router.executors()
+        key, holder = next(
+            (key, name) for name, executor in executors.items()
+            for key in executor._index.keys()
+            if router.owning_shard(key) != name)
+        router.remove(key)
+        assert self._epochs(router) == {
+            name: int(name == holder) for name in router.shard_names}
+
+    def test_queries_do_not_bump(self, router):
+        (key, sig, size), = _entries(1, offset=100)
+        router.insert(key, sig, size)
+        before = self._epochs(router)
+        router.query(sig, size=size, threshold=0.1)
+        router.query_batch([sig], sizes=[size], threshold=0.1)
+        router.query_top_k(sig, 3, size=size)
+        router.signatures_for([key, "k0"])
+        router.stats()
+        router.describe()
+        router.refresh()
+        assert self._epochs(router) == before

@@ -227,6 +227,8 @@ class TestInputErrors:
         captured = capsys.readouterr()
         assert rc == 2
         assert captured.err.startswith("error: %s: " % path)
+        assert captured.err.count("\n") == 1
+        assert captured.err.count(str(path)) == 1
         assert reason in captured.err
         assert "Traceback" not in captured.err
 
@@ -267,6 +269,22 @@ class TestInputErrors:
                         + struct.pack("<I", len(header)) + header)
         self._fails_cleanly(capsys, self._open_index(command, old),
                             old, "retired")
+
+    @pytest.mark.parametrize("command",
+                             ["info", "query", "serve", "shardnode"])
+    def test_retired_cluster_directory_is_refused(
+            self, retired_cluster_dir, capsys, command):
+        self._fails_cleanly(
+            capsys, self._open_index(command, retired_cluster_dir),
+            retired_cluster_dir, "sharded-cluster directory, a format "
+            "that was retired")
+
+    @pytest.mark.parametrize("command",
+                             ["info", "query", "serve", "shardnode"])
+    def test_directory_without_manifest_is_refused(self, tmp_path,
+                                                   capsys, command):
+        self._fails_cleanly(capsys, self._open_index(command, tmp_path),
+                            tmp_path, "no manifest.json")
 
     def test_nameless_oserror_still_propagates(self, built, monkeypatch):
         # Socket binds, closed pipes: not an input-file problem.

@@ -3,8 +3,8 @@
 ISSUE 4's serving layer lets HTTP traffic and operator mutations hit
 one index from different threads, so the ensemble's lock must make
 ``insert`` / ``remove`` / ``rebalance`` safe to race against
-``query_batch`` on both the flat and the sharded index.  The contract
-checked here:
+``query_batch`` — on the flat index and through a router over
+in-process shards.  The contract checked here:
 
 * no thread observes an exception (no half-swapped base tier, no
   executor submitted to mid-shutdown);
@@ -25,7 +25,6 @@ import pytest
 from repro.core.ensemble import LSHEnsemble
 from repro.minhash.batch import SignatureBatch
 from repro.minhash.generator import sample_signatures
-from repro.parallel.sharded import ShardedEnsemble
 
 NUM_PERM = 64
 NUM_BASE = 240
@@ -159,49 +158,79 @@ class TestFlatEnsembleUnderRace:
                                      threshold=0.05))
 
 
-class TestShardedEnsembleUnderRace:
-    @pytest.mark.parametrize("parallel", [True, False])
-    def test_mutations_race_query_batch(self, parallel):
-        base, extra = _corpus()
-        cluster = ShardedEnsemble(
-            num_shards=3, parallel=parallel,
-            ensemble_factory=lambda: LSHEnsemble(
-                num_perm=NUM_PERM, num_partitions=4, threshold=0.5))
-        cluster.index(base)
-        with cluster:
-            stress = _Stress(cluster, base, extra)
-            stress.run()
-            _check_final_state(stress, cluster)
+class TestRouterUnderRace:
+    """The same race through a router over in-process shards, with
+    each shard rebalancing itself as a shard node would."""
 
-    def test_rebalance_decommission_races_queries(self):
-        """Cluster rebalance that *shrinks the topology* (a fully
-        emptied shard is decommissioned, the executor is swapped) must
-        stay invisible to concurrent query threads."""
+    @pytest.mark.parametrize("num_shards", [1, 3])
+    def test_mutations_race_query_batch(self, in_process_cluster,
+                                        num_shards):
+        base, extra = _corpus()
+        router, flat = in_process_cluster(
+            base, num_shards,
+            lambda: LSHEnsemble(num_perm=NUM_PERM, num_partitions=4,
+                                threshold=0.5))
+        shards = [executor._index
+                  for executor in router.executors().values()]
+        with router:
+            stress = _Stress(router, base, extra)
+
+            def rebalance_shards():
+                for _ in range(NUM_REBALANCES):
+                    for shard in shards:
+                        shard.rebalance()
+
+            stress.rebalancer = rebalance_shards
+            stress.run()
+            assert not stress.errors
+            assert stress.epoch_observations > 0
+            held, _ = router.signatures_for(
+                stress.doomed + [key for key, _, __ in extra])
+            assert not held.keys() & set(stress.doomed)
+            assert held.keys() == {key for key, _, __ in extra}
+            assert len(router) == NUM_BASE - NUM_DOOMED + NUM_INSERTS
+            assert sum(shard.mutation_epoch for shard in shards) == (
+                NUM_INSERTS + NUM_DOOMED + NUM_REBALANCES * num_shards)
+            assert router.mutation_epoch == min(
+                shard.mutation_epoch for shard in shards)
+            # The raced router answers like the flat index after the
+            # same writes.
+            for key, sig, size in extra:
+                flat.insert(key, sig, size)
+            for key in stress.doomed:
+                flat.remove(key)
+            assert (router.query_batch(stress.batch, sizes=stress.sizes,
+                                       threshold=0.05)
+                    == flat.query_batch(stress.batch, sizes=stress.sizes,
+                                        threshold=0.05))
+
+    def test_emptying_a_shard_races_queries(self, in_process_cluster):
+        """Removing every key of one shard stays invisible to
+        concurrent router queries, and the emptied shard keeps
+        answering (with nothing)."""
         base, _ = _corpus()
-        cluster = ShardedEnsemble(
-            num_shards=4,
-            ensemble_factory=lambda: LSHEnsemble(
-                num_perm=NUM_PERM, num_partitions=4, threshold=0.5))
-        cluster.index(base)
-        with cluster:
-            victim = cluster.shards[-1]
-            victim_keys = list(victim.keys())
-            stress = _Stress(cluster, base, [])
+        router, _ = in_process_cluster(
+            base, 4,
+            lambda: LSHEnsemble(num_perm=NUM_PERM, num_partitions=4,
+                                threshold=0.5))
+        victim = router.executors()["shard_003"]._index
+        victim_keys = list(victim.keys())
+        with router:
+            stress = _Stress(router, base, [])
             stress.doomed = []
 
             def empty_one_shard():
                 for key in victim_keys:
-                    cluster.remove(key)
+                    router.remove(key)
                     with stress.removed_lock:
                         stress.removed_done.add(key)
-                cluster.rebalance()
 
             stress.writer = empty_one_shard
             stress.remover = lambda: None
             stress.rebalancer = lambda: None
             stress.run()
             assert not stress.errors
-            assert cluster.active_shards == 3
-            assert len(cluster) == NUM_BASE - len(victim_keys)
-            for key in victim_keys:
-                assert key not in cluster
+            assert len(victim) == 0
+            assert len(router) == NUM_BASE - len(victim_keys)
+            held, _ = router.signatures_for(victim_keys)
+            assert held == {}

@@ -353,41 +353,41 @@ class TestManifestErrors:
         with pytest.raises(FormatError, match="tombstone"):
             load_ensemble(path)
 
-    def test_sharded_directory_rejected_with_hint(self, tmp_path):
-        from repro.parallel.sharded import ShardedEnsemble
+    def test_sharded_directory_rejected_with_hint(self,
+                                                  retired_cluster_dir):
+        with pytest.raises(FormatError, match="retired") as info:
+            load_ensemble(retired_cluster_dir)
+        message = str(info.value)
+        assert "\n" not in message
+        assert "shard-*.lshe" in message and "cli shardnode" in message
+        # The hint holds: each shard file inside loads on its own.
+        for shard in sorted(retired_cluster_dir.glob("shard-*.lshe")):
+            assert len(load_ensemble(shard)) == 6
 
-        cluster = ShardedEnsemble(
-            num_shards=2, parallel=False,
-            ensemble_factory=lambda: LSHEnsemble(num_perm=NUM_PERM,
-                                                 num_partitions=2))
-        cluster.index([("k%d" % i,
-                        sig({"v%d_%d" % (i, j) for j in range(10 + i)}),
-                        10 + i) for i in range(8)])
-        cluster.save(tmp_path / "cluster")
-        with pytest.raises(FormatError, match="ShardedEnsemble"):
-            load_ensemble(tmp_path / "cluster")
+    def test_read_header_refuses_sharded_directory(self,
+                                                   retired_cluster_dir):
+        with pytest.raises(FormatError, match="retired") as info:
+            read_header(retired_cluster_dir)
+        assert "\n" not in str(info.value)
+        for shard in sorted(retired_cluster_dir.glob("shard-*.lshe")):
+            assert read_header(shard)["num_perm"] == 32
 
-    def test_save_refuses_to_clobber_foreign_directory(self, dynamic_index,
-                                                       tmp_path):
+    def test_save_refuses_to_clobber_foreign_directory(
+            self, dynamic_index, retired_cluster_dir, tmp_path):
         # A non-empty directory that is not a dynamic manifest (here: a
-        # ShardedEnsemble snapshot, plus a stray .seg) must never be
-        # adopted — its files would be clobbered or garbage-collected.
-        from repro.parallel.sharded import ShardedEnsemble
-
+        # retired sharded-cluster directory, plus a stray .seg) must
+        # never be adopted — its files would be clobbered or
+        # garbage-collected.
         _, index = dynamic_index
-        cluster = ShardedEnsemble(
-            num_shards=2, parallel=False,
-            ensemble_factory=lambda: LSHEnsemble(num_perm=NUM_PERM,
-                                                 num_partitions=2))
-        cluster.index([("k%d" % i,
-                        sig({"v%d_%d" % (i, j) for j in range(10 + i)}),
-                        10 + i) for i in range(8)])
-        cluster.save(tmp_path / "cluster")
-        (tmp_path / "cluster" / "unrelated.seg").write_bytes(b"data")
-        with pytest.raises(FormatError):
-            save_ensemble(index, tmp_path / "cluster")
-        assert (tmp_path / "cluster" / "unrelated.seg").exists()
-        assert ShardedEnsemble.load(tmp_path / "cluster") is not None
+        before = {path.name: path.read_bytes()
+                  for path in retired_cluster_dir.iterdir()}
+        (retired_cluster_dir / "unrelated.seg").write_bytes(b"data")
+        with pytest.raises(FormatError, match="retired"):
+            save_ensemble(index, retired_cluster_dir)
+        assert (retired_cluster_dir / "unrelated.seg").exists()
+        assert {path.name: path.read_bytes()
+                for path in retired_cluster_dir.iterdir()
+                if path.name != "unrelated.seg"} == before
         other = tmp_path / "junk"
         other.mkdir()
         (other / "precious.txt").write_text("keep me")

@@ -17,6 +17,7 @@ from repro.persistence import (
     load_ensemble,
     read_header,
     save_ensemble,
+    unpack_snapshot,
 )
 
 NUM_PERM = 64
@@ -443,3 +444,58 @@ class TestEdgeCases:
             path.write_bytes(path.read_bytes().replace(old, new))
             with pytest.raises(FormatError, match="negative"):
                 load_ensemble(path)
+
+
+def _snapshot(manifest, payload=b""):
+    """A snapshot archive around ``manifest`` (an object to encode, or
+    raw manifest bytes) followed by ``payload``."""
+    raw = (manifest if isinstance(manifest, bytes)
+           else json.dumps(manifest).encode("utf-8"))
+    return b"LSHESNAP" + struct.pack("<I", len(raw)) + raw + payload
+
+
+def _dir_snapshot(rel):
+    return _snapshot({"version": 1, "kind": "dir", "files": [[rel, 4]]},
+                     b"evil")
+
+
+_ONE_FILE = {"version": 1, "kind": "file", "files": [["index.lshe", 4]]}
+
+
+@pytest.mark.parametrize("make_archive,reason", [
+    (lambda tmp: b"NOTASNAP" + _snapshot(_ONE_FILE, b"abcd")[8:],
+     "bad magic"),
+    (lambda tmp: b"LSHESNAP\x01\x00", "truncated snapshot header"),
+    (lambda tmp: _snapshot(b"[1,2]"), "corrupt snapshot manifest"),
+    (lambda tmp: _snapshot(b'"x"'), "corrupt snapshot manifest"),
+    (lambda tmp: _snapshot(b"\x80{}"), "corrupt snapshot manifest"),
+    (lambda tmp: _dir_snapshot(str(tmp / "outside" / "evil")), "escapes"),
+    (lambda tmp: _dir_snapshot("../outside-evil"), "escapes"),
+    (lambda tmp: _dir_snapshot("sub/../../outside-evil"), "escapes"),
+    (lambda tmp: _dir_snapshot("."), "escapes"),
+    (lambda tmp: _snapshot(_ONE_FILE, b"ab"),
+     "truncated snapshot payload"),
+    (lambda tmp: _snapshot(_ONE_FILE, b"abcdEXTRA"), "trailing bytes"),
+    (lambda tmp: _snapshot({"version": 1, "kind": "file",
+                            "files": [["a.lshe", 2], ["b.lshe", 2]]},
+                           b"abcd"), "corrupt snapshot manifest"),
+    (lambda tmp: _snapshot({"version": 1, "kind": "dir",
+                            "files": [["a", 2], ["./a", 2]]},
+                           b"abcd"), "corrupt snapshot file table"),
+    (lambda tmp: _snapshot({"version": 1, "kind": "dir",
+                            "files": [["a", 2], ["a/b", 2]]},
+                           b"abcd"), "corrupt snapshot file table"),
+], ids=["bad-magic", "truncated-header", "manifest-list",
+        "manifest-string", "manifest-not-utf8", "absolute-path",
+        "dotdot-path", "nested-dotdot-path", "dest-itself",
+        "truncated-payload",
+        "trailing-bytes", "multi-file-file-archive", "duplicate-path",
+        "file-under-file"])
+def test_unpack_snapshot_refusals(tmp_path, make_archive, reason):
+    """A snapshot arrives from a peer (``shardnode --bootstrap-from``):
+    every malformed archive is a :class:`FormatError`, and a refused
+    archive writes nothing, inside ``dest`` or out of it."""
+    dest = tmp_path / "dest"
+    with pytest.raises(FormatError, match=reason):
+        unpack_snapshot(make_archive(tmp_path), dest)
+    assert [path for path in tmp_path.rglob("*") if path.is_file()] == []

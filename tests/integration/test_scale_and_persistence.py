@@ -7,7 +7,6 @@ from repro.core.ensemble import LSHEnsemble
 from repro.datagen.distributions import power_law_sizes
 from repro.minhash.generator import sample_signatures
 from repro.minhash.lean import LeanMinHash
-from repro.parallel.sharded import ShardedEnsemble
 
 NUM_PERM = 64
 
@@ -31,16 +30,14 @@ class TestSyntheticScale:
         for key, sig, size in synthetic_entries[::1000]:
             assert key in index.query(sig, size=size, threshold=1.0)
 
-    def test_sharded_scale(self, synthetic_entries):
-        with ShardedEnsemble(
-            num_shards=5,
-            ensemble_factory=lambda: LSHEnsemble(num_perm=NUM_PERM,
-                                                 num_partitions=8),
-        ) as sharded:
-            sharded.index(synthetic_entries)
-            assert len(sharded) == 5000
+    def test_router_scale(self, synthetic_entries, in_process_cluster):
+        router, _ = in_process_cluster(
+            synthetic_entries, 5,
+            lambda: LSHEnsemble(num_perm=NUM_PERM, num_partitions=8))
+        with router:
+            assert len(router) == 5000
             key, sig, size = synthetic_entries[123]
-            assert key in sharded.query(sig, size=size, threshold=1.0)
+            assert key in router.query(sig, size=size, threshold=1.0)
 
     def test_query_cost_grows_sublinearly_with_candidates(
             self, synthetic_entries):

@@ -4,8 +4,8 @@ The kernel contract (``repro/kernels/base.py``) says backend selection
 is purely a performance decision — it can never change a query answer.
 This suite pins that across every index shape a kernel touches: the
 flat :class:`MinHashLSH`, a dynamic :class:`LSHEnsemble` with live
-tombstones, a saved-and-mmap-loaded snapshot, and a
-:class:`ShardedEnsemble` cluster; plus the b-bit packing properties
+tombstones, a saved-and-mmap-loaded snapshot, and a router over
+in-process shards; plus the b-bit packing properties
 (packed answers are supersets, and recall — the Figure 4-7 metric —
 never drops).
 """
@@ -26,7 +26,6 @@ from repro.eval.metrics import aggregate, evaluate_query
 from repro.kernels import list_kernels
 from repro.lsh.lsh import MinHashLSH
 from repro.minhash.batch import SignatureBatch
-from repro.parallel.sharded import ShardedEnsemble
 from repro.persistence import load_ensemble, save_ensemble
 
 NUM_PERM = 64
@@ -130,27 +129,47 @@ class TestLoadedSnapshotParity:
                 assert got == reference
 
 
-class TestShardedParity:
+class TestRouterParity:
     @given(seed=st.integers(0, 2 ** 16), num_rows=st.integers(24, 120))
     @settings(max_examples=8, deadline=None)
-    def test_cluster_matches_python(self, seed, num_rows):
+    def test_cluster_matches_python(self, in_process_cluster, seed,
+                                    num_rows):
         block = _block(num_rows, seed)
         entries = list(block.entries())
-        clusters = {}
-        for name in KERNELS:
-            cluster = ShardedEnsemble(
-                num_shards=3, parallel=False,
-                ensemble_factory=lambda name=name: LSHEnsemble(
+        batch, sizes = _queries(block, 12)
+        reference = None
+        for name in ["python"] + VECTOR_KERNELS:
+            router, flat = in_process_cluster(
+                entries, 3, lambda name=name: LSHEnsemble(
                     threshold=0.5, num_perm=NUM_PERM, num_partitions=2,
                     kernel=name))
-            cluster.index(entries)
-            clusters[name] = cluster
-        batch, sizes = _queries(block, 12)
-        reference = _canonical(clusters["python"].query_batch(
-            batch, sizes=sizes, threshold=0.5))
-        for name in VECTOR_KERNELS:
-            got = _canonical(clusters[name].query_batch(
+            with router:
+                got = _canonical(router.query_batch(
+                    batch, sizes=sizes, threshold=0.5))
+            assert got == _canonical(flat.query_batch(
                 batch, sizes=sizes, threshold=0.5))
+            if reference is None:
+                reference = got
+            assert got == reference
+
+    @given(seed=st.integers(0, 2 ** 16), num_rows=st.integers(24, 120))
+    @settings(max_examples=6, deadline=None)
+    def test_cluster_top_k_matches_python(self, in_process_cluster, seed,
+                                          num_rows):
+        block = _block(num_rows, seed)
+        entries = list(block.entries())
+        batch, sizes = _queries(block, 8)
+        reference = None
+        for name in ["python"] + VECTOR_KERNELS:
+            router, flat = in_process_cluster(
+                entries, 3, lambda name=name: LSHEnsemble(
+                    threshold=0.5, num_perm=NUM_PERM, num_partitions=2,
+                    kernel=name))
+            with router:
+                got = router.query_top_k_batch(batch, 3, sizes=sizes)
+            assert got == flat.query_top_k_batch(batch, 3, sizes=sizes)
+            if reference is None:
+                reference = got
             assert got == reference
 
 

@@ -22,6 +22,8 @@ from repro.parallel.procpool import (
     ProcPool,
     RemoteTaskError,
 )
+from repro.serve.executor import ProcPoolExecutor
+from repro.serve.router import RouterIndex
 
 pytestmark = [pytest.mark.procpool, pytest.mark.timeout(120)]
 
@@ -61,9 +63,9 @@ class TestProcPool:
     def test_unknown_method_raises_remote_error(self, proc_pool):
         index, entries = _build_flat(60)
         pooled = PooledIndex(index, proc_pool)
-        task = pooled.task_for("query_batch", {
+        task = pooled._tasks("query_batch", [{
             "matrix": np.vstack([entries[0][1].hashvalues]),
-            "seed": 1, "sizes": [entries[0][2]], "threshold": 0.5})
+            "seed": 1, "sizes": [entries[0][2]], "threshold": 0.5}])[0]
         task["method"] = "no_such_method"
         with pytest.raises(RemoteTaskError, match="no_such_method"):
             proc_pool.run([task])
@@ -74,9 +76,9 @@ class TestProcPool:
     def test_remote_error_carries_traceback(self, proc_pool):
         index, entries = _build_flat(60)
         pooled = PooledIndex(index, proc_pool)
-        task = pooled.task_for("query_batch", {
+        task = pooled._tasks("query_batch", [{
             "matrix": np.vstack([entries[0][1].hashvalues]),
-            "seed": 1, "sizes": [entries[0][2]], "threshold": 7.5})
+            "seed": 1, "sizes": [entries[0][2]], "threshold": 7.5}])[0]
         with pytest.raises(RemoteTaskError, match="threshold") as info:
             proc_pool.run([task])
         assert "Traceback" in info.value.remote_traceback
@@ -168,64 +170,43 @@ class TestPooledIndex:
         pooled.close()
 
 
-class TestShardedProcessCluster:
-    def test_loaded_cluster_process_executor_parity(self, tmp_path,
-                                                    proc_pool):
-        index, entries = _build_flat(180)
-        cluster = _build_cluster(entries, 3)
-        cluster.save(tmp_path / "cluster")
-        cluster.close()
-        from repro.parallel.sharded import ShardedEnsemble
+class TestRouterOverProcessShards:
+    """Shards served through the process pool (``serve --executor
+    process`` behind ``cli router``) answer through a router exactly
+    like the flat index, writes included."""
 
-        loaded = ShardedEnsemble.load(tmp_path / "cluster",
-                                      executor="process", num_workers=1)
-        with loaded:
-            assert loaded.executor == "process"
-            batch, sizes = _batch_of(entries, range(9))
-            assert (loaded.query_batch(batch, sizes=sizes, threshold=0.3)
+    def test_router_over_pooled_shards_matches_flat(self, proc_pool):
+        index, entries = _build_flat(120)
+        executors = {}
+        for i in range(3):
+            shard = LSHEnsemble(num_perm=NUM_PERM, num_partitions=4,
+                                threshold=0.5)
+            shard.index(entries[i::3], partitions=index.partitions)
+            executors["shard_%03d" % i] = ProcPoolExecutor(
+                PooledIndex(shard, proc_pool))
+        with RouterIndex(executors) as router:
+            assert router.describe()["keys"] == len(index)
+            batch, sizes = _batch_of(entries, range(0, 120, 10))
+            assert (router.query_batch(batch, sizes=sizes, threshold=0.3)
                     == index.query_batch(batch, sizes=sizes,
                                          threshold=0.3))
-            # Workers reuse the saved shard segments (v2 loads record
-            # _base_source) instead of spilling duplicate copies.
-            for client in loaded._clients:
-                assert client._base_path.parent == tmp_path / "cluster"
-
-    def test_decommission_rebalance_refreshes_clients(self, proc_pool):
-        """Emptying a shard and rebalancing shrinks the topology; the
-        per-shard pool clients must follow it."""
-        _, entries = _build_flat(120)
-        cluster = _build_cluster(entries, 3, pool=proc_pool)
-        with cluster:
-            batch, sizes = _batch_of(entries, range(6))
-            before_clients = len(cluster._clients)
-            victim = cluster.shards[-1]
-            for key in list(victim.keys()):
-                cluster.remove(key)
-            cluster.rebalance()
-            assert cluster.active_shards == 2
-            assert len(cluster._clients) == 2 < before_clients
-            # Union of the surviving parent shards' own answers == the
-            # thread-path semantics the process fan-out must match.
-            expected = [set() for _ in range(len(batch))]
-            for shard in cluster.shards:
-                for j, hits in enumerate(
-                        shard.query_batch(batch, sizes=sizes,
-                                          threshold=0.2)):
-                    expected[j] |= hits
-            assert cluster.query_batch(batch, sizes=sizes,
-                                       threshold=0.2) == expected
-
-
-def _build_cluster(entries, num_shards, **kwargs):
-    from repro.parallel.sharded import ShardedEnsemble
-
-    cluster = ShardedEnsemble(
-        num_shards=num_shards,
-        ensemble_factory=lambda: LSHEnsemble(
-            num_perm=NUM_PERM, num_partitions=4, threshold=0.5),
-        executor="process", num_workers=1, **kwargs)
-    cluster.index(list(entries))
-    return cluster
+            assert (router.query_top_k_batch(batch, 3, sizes=sizes)
+                    == index.query_top_k_batch(batch, 3, sizes=sizes))
+            # Writes land in the parent shard objects; the workers must
+            # not answer from pre-write state.
+            fresh = [("n%d" % i, sig, size)
+                     for i, (_, sig, size) in enumerate(entries[:4])]
+            for key, sig, size in fresh:
+                router.insert(key, sig, size)
+                index.insert(key, sig, size)
+            router.remove("d10")
+            index.remove("d10")
+            assert (router.query_batch(batch, sizes=sizes, threshold=0.3)
+                    == index.query_batch(batch, sizes=sizes,
+                                         threshold=0.3))
+            assert (router.query_top_k_batch(batch, 3, sizes=sizes)
+                    == index.query_top_k_batch(batch, 3, sizes=sizes))
+        assert proc_pool.run([_echo_task(1)]) == [1]  # pool stays shared
 
 
 class TestStaleEpochRegression:
@@ -248,7 +229,7 @@ class TestStaleEpochRegression:
             # it under), not the mutated state.
             args = {"matrix": probe.matrix, "seed": 1,
                     "sizes": probe_sizes, "threshold": 0.2}
-            stale_task = pooled.task_for("query_batch", args)
+            stale_task = pooled._tasks("query_batch", [args])[0]
             victim = entries[3][0]
             assert any(victim in found for found in before)
             index.remove(victim)

@@ -16,7 +16,6 @@ from repro.lsh.lsh import MinHashLSH
 from repro.minhash.batch import SignatureBatch
 from repro.minhash.generator import MinHashGenerator, SignatureFactory
 from repro.minhash.minhash import MinHash
-from repro.parallel.sharded import ShardedEnsemble
 
 NUM_PERM = 64
 
@@ -91,23 +90,42 @@ def test_query_top_k_batch_equals_single(domains, k):
 
 @settings(max_examples=15, deadline=None)
 @given(domains=domain_corpora, threshold=thresholds)
-def test_sharded_query_batch_equals_single(domains, threshold):
-    sharded = ShardedEnsemble(
-        num_shards=3,
-        ensemble_factory=lambda: LSHEnsemble(num_perm=NUM_PERM,
-                                             num_partitions=2),
-        parallel=False)
-    sharded.index((k, sig(v), len(v)) for k, v in domains.items())
+def test_router_query_batch_equals_single(in_process_cluster, domains,
+                                          threshold):
+    router, flat = in_process_cluster(
+        ((k, sig(v), len(v)) for k, v in domains.items()), 3,
+        lambda: LSHEnsemble(num_perm=NUM_PERM, num_partitions=2))
     sigs = [sig(v) for v in domains.values()]
     sizes = [len(v) for v in domains.values()]
     batch = SignatureBatch.from_signatures(sigs)
-    expected = [sharded.query(s, size=c, threshold=threshold)
-                for s, c in zip(sigs, sizes)]
-    assert sharded.query_batch(batch, sizes=sizes,
-                               threshold=threshold) == expected
-    assert len(sigs) >= 2
-    assert sharded.query_batch(sigs[:1], sizes=sizes[:1],
-                               threshold=threshold) == expected[:1]
+    with router:
+        expected = [router.query(s, size=c, threshold=threshold)
+                    for s, c in zip(sigs, sizes)]
+        assert router.query_batch(batch, sizes=sizes,
+                                  threshold=threshold) == expected
+        assert len(sigs) >= 2
+        assert router.query_batch(sigs[:1], sizes=sizes[:1],
+                                  threshold=threshold) == expected[:1]
+    assert flat.query_batch(batch, sizes=sizes,
+                            threshold=threshold) == expected
+
+
+@settings(max_examples=15, deadline=None)
+@given(domains=domain_corpora, k=st.integers(1, 5))
+def test_router_top_k_batch_equals_single(in_process_cluster, domains, k):
+    router, flat = in_process_cluster(
+        ((k, sig(v), len(v)) for k, v in domains.items()), 3,
+        lambda: LSHEnsemble(num_perm=NUM_PERM, num_partitions=2))
+    sigs = [sig(v) for v in domains.values()]
+    sizes = [len(v) for v in domains.values()]
+    batch = SignatureBatch.from_signatures(sigs)
+    with router:
+        expected = [router.query_top_k(s, k, size=c)
+                    for s, c in zip(sigs, sizes)]
+        assert router.query_top_k_batch(batch, k, sizes=sizes) == expected
+        assert router.query_top_k_batch(sigs[:1], k,
+                                        sizes=sizes[:1]) == expected[:1]
+    assert flat.query_top_k_batch(batch, k, sizes=sizes) == expected
 
 
 @settings(max_examples=25, deadline=None)

@@ -8,7 +8,6 @@ order, same scores — across every index shape that can serve traffic:
 * a flat index with *pending* dynamic state (delta-tier inserts and
   tombstones that exist only in parent memory, shipped to workers as
   overlay payloads),
-* a sharded cluster (thread fan-out vs process fan-out),
 * an index loaded back from a v2 snapshot with ``mmap=True`` (workers
   and parent then share the very same segment file).
 
@@ -28,7 +27,6 @@ from repro.core.ensemble import LSHEnsemble
 from repro.minhash.batch import SignatureBatch
 from repro.minhash.generator import sample_signatures
 from repro.parallel.procpool import PooledIndex
-from repro.parallel.sharded import ShardedEnsemble
 
 pytestmark = [pytest.mark.procpool, pytest.mark.timeout(300)]
 
@@ -171,37 +169,6 @@ class TestDynamicParity:
             index.remove(entries[-1][0])
             index.rebalance()
             _assert_flat_parity(index, pooled, batch, qsizes, threshold)
-
-
-class TestShardedParity:
-    @SETTINGS
-    @given(spec=corpus_spec(),
-           num_shards=st.integers(min_value=1, max_value=4))
-    def test_process_fanout_matches_thread_fanout(self, proc_pool, spec,
-                                                  num_shards):
-        sizes, seed, rng_seed, threshold, num_queries = spec
-        entries = _entries(sizes, seed, rng_seed)
-        factory = (lambda: LSHEnsemble(num_perm=NUM_PERM,
-                                       num_partitions=3, threshold=0.5))
-        threaded = ShardedEnsemble(num_shards=num_shards,
-                                   ensemble_factory=factory)
-        threaded.index(list(entries))
-        process = ShardedEnsemble(num_shards=num_shards,
-                                  ensemble_factory=factory,
-                                  executor="process", pool=proc_pool)
-        process.index(list(entries))
-        with threaded, process:
-            batch, qsizes = _query_batch_of(entries, num_queries, seed)
-            assert (process.query_batch(batch, sizes=qsizes,
-                                        threshold=threshold)
-                    == threaded.query_batch(batch, sizes=qsizes,
-                                            threshold=threshold))
-            assert (process.query(batch[0], size=qsizes[0],
-                                  threshold=threshold)
-                    == threaded.query(batch[0], size=qsizes[0],
-                                      threshold=threshold))
-            assert (process.query_top_k(batch[0], 3, size=qsizes[0])
-                    == threaded.query_top_k(batch[0], 3, size=qsizes[0]))
 
 
 class TestMmapLoadedParity:

@@ -14,12 +14,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import _load_serving_index, build_parser
+from repro.cli import build_parser
 from repro.core.ensemble import LSHEnsemble
 from repro.minhash.generator import MinHashGenerator
-from repro.parallel.sharded import ShardedEnsemble
 from repro.persistence import save_ensemble
 from repro.serve import QueryServer, start_in_thread
+from repro.serve.router import RouterServer
 
 NUM_PERM = 64
 SRC_DIR = str(Path(__file__).resolve().parents[2] / "src")
@@ -85,21 +85,23 @@ class TestEndpoints:
         assert latency["count"] >= 1
         assert latency["max_seconds"] >= latency["mean_seconds"] > 0
 
-    def test_sharded_healthz_and_stats(self, corpus):
+    def test_router_healthz_and_stats(self, corpus, index,
+                                      in_process_cluster):
         domains, batch = corpus
-        cluster = ShardedEnsemble(
-            num_shards=2,
-            ensemble_factory=lambda: LSHEnsemble(
-                num_perm=NUM_PERM, num_partitions=4))
-        cluster.index((key, batch[j], len(domains[key]))
-                      for j, key in enumerate(batch.keys))
-        with cluster, start_in_thread(cluster) as handle:
+        entries = [(key, batch[j], len(domains[key]))
+                   for j, key in enumerate(batch.keys)]
+        router, _ = in_process_cluster(
+            entries, 2,
+            lambda: LSHEnsemble(num_perm=NUM_PERM, num_partitions=4))
+        with router, start_in_thread(router, RouterServer) as handle:
             status, health = _request(handle.port, "GET", "/healthz")
             _, stats = _request(handle.port, "GET", "/stats")
         assert status == 200
-        assert health["index"] == "ShardedEnsemble"
-        assert health["keys"] == len(cluster)
-        assert len(stats["drift"]["shards"]) == 2
+        assert health["index"] == "RouterIndex"
+        assert health["keys"] == len(router) == len(index)
+        assert health["shards"] == ["shard_000", "shard_001"]
+        assert stats["router"]["keys_per_shard"] == {"shard_000": 20,
+                                                     "shard_001": 20}
 
 
 class TestHttpErrors:
@@ -358,38 +360,6 @@ class TestCliServe:
              "--max-pending", "64", "--no-mmap"])
         assert args.command == "serve"
         assert args.max_batch == 32 and args.cache_size == 128
-
-    def test_load_serving_index_detects_topologies(self, corpus, index,
-                                                   tmp_path):
-        domains, batch = corpus
-        flat_path = tmp_path / "flat.lshe"
-        save_ensemble(index, flat_path)
-        assert isinstance(_load_serving_index(flat_path, mmap=True),
-                          LSHEnsemble)
-
-        dynamic = tmp_path / "dynamic"
-        index.insert("fresh", batch[0], 20)
-        save_ensemble(index, dynamic)
-        loaded = _load_serving_index(dynamic, mmap=True)
-        assert isinstance(loaded, LSHEnsemble)
-        assert "fresh" in loaded
-
-        cluster = ShardedEnsemble(
-            num_shards=2,
-            ensemble_factory=lambda: LSHEnsemble(
-                num_perm=NUM_PERM, num_partitions=4))
-        cluster.index((key, batch[j], len(domains[key]))
-                      for j, key in enumerate(batch.keys))
-        cluster_dir = tmp_path / "cluster"
-        cluster.save(cluster_dir)
-        cluster.close()
-        assert isinstance(_load_serving_index(cluster_dir, mmap=True),
-                          ShardedEnsemble)
-
-        empty_dir = tmp_path / "empty-dir"
-        empty_dir.mkdir()
-        with pytest.raises(SystemExit):
-            _load_serving_index(empty_dir, mmap=True)
 
     def test_serve_subprocess_end_to_end(self, index, tmp_path):
         """`python -m repro.cli serve` binds, answers, and shuts down."""

@@ -2,8 +2,9 @@
 
 For the same signatures, the server's ``/query`` and ``/query_top_k``
 responses must be bit-identical to ``query_batch`` /
-``query_top_k_batch`` run in process — across a flat index, a sharded
-cluster, and an index loaded back from an mmap'd v2 snapshot.  JSON
+``query_top_k_batch`` run in process — across a flat index, a router
+over in-process shards, and an index loaded back from an mmap'd v2
+snapshot.  JSON
 round-trips floats exactly (repr-based), so even the top-k scores are
 compared for equality, not approximately.
 """
@@ -17,7 +18,6 @@ import pytest
 
 from repro.core.ensemble import LSHEnsemble
 from repro.minhash.generator import MinHashGenerator
-from repro.parallel.sharded import ShardedEnsemble
 from repro.persistence import load_ensemble, save_ensemble
 from repro.serve import start_in_thread
 
@@ -50,14 +50,13 @@ def flat(corpus):
 
 
 @pytest.fixture(scope="module")
-def sharded(corpus):
-    cluster = ShardedEnsemble(
-        num_shards=3,
-        ensemble_factory=lambda: LSHEnsemble(
-            num_perm=NUM_PERM, num_partitions=4, threshold=0.5))
-    cluster.index(_entries(corpus))
-    yield cluster
-    cluster.close()
+def router(corpus, in_process_cluster):
+    router, _ = in_process_cluster(
+        _entries(corpus), 3,
+        lambda: LSHEnsemble(num_perm=NUM_PERM, num_partitions=4,
+                            threshold=0.5))
+    with router:
+        yield router
 
 
 @pytest.fixture(scope="module")
@@ -92,20 +91,22 @@ def _query_items(corpus):
     return items, sizes, indices
 
 
-def _index_cases(flat, sharded, mmap_loaded):
-    return [("flat", flat), ("sharded", sharded),
+def _index_cases(flat, router, mmap_loaded):
+    return [("flat", flat), ("router", router),
             ("mmap_loaded", mmap_loaded)]
 
 
 class TestServedParity:
-    @pytest.mark.parametrize("case", ["flat", "sharded", "mmap_loaded"])
+    @pytest.mark.parametrize("case", ["flat", "router", "mmap_loaded"])
     @pytest.mark.parametrize("threshold", THRESHOLDS)
     def test_query_matches_in_process_batch(self, case, threshold, corpus,
-                                            flat, sharded, mmap_loaded):
-        index = dict(_index_cases(flat, sharded, mmap_loaded))[case]
+                                            flat, router, mmap_loaded):
+        index = dict(_index_cases(flat, router, mmap_loaded))[case]
         domains, batch = corpus
         items, sizes, indices = _query_items(corpus)
         expected = index.query_batch(
+            batch.matrix[indices], sizes=sizes, threshold=threshold)
+        assert expected == flat.query_batch(
             batch.matrix[indices], sizes=sizes, threshold=threshold)
         with start_in_thread(index) as handle:
             served = _post(handle.port, "/query",
@@ -115,13 +116,15 @@ class TestServedParity:
         # Results are non-trivial: every query at least finds itself.
         assert all(served["results"][j] for j in range(len(items)))
 
-    @pytest.mark.parametrize("case", ["flat", "sharded", "mmap_loaded"])
+    @pytest.mark.parametrize("case", ["flat", "router", "mmap_loaded"])
     def test_top_k_matches_in_process_batch(self, case, corpus, flat,
-                                            sharded, mmap_loaded):
-        index = dict(_index_cases(flat, sharded, mmap_loaded))[case]
+                                            router, mmap_loaded):
+        index = dict(_index_cases(flat, router, mmap_loaded))[case]
         domains, batch = corpus
         items, sizes, indices = _query_items(corpus)
         expected = index.query_top_k_batch(
+            batch.matrix[indices], 5, sizes=sizes)
+        assert expected == flat.query_top_k_batch(
             batch.matrix[indices], 5, sizes=sizes)
         with start_in_thread(index) as handle:
             served = _post(handle.port, "/query_top_k",
